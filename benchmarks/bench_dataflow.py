@@ -25,7 +25,7 @@ asserts the elisions actually engaged.  Measured rates land in
 import json
 from pathlib import Path
 
-from repro.kernel import SensorNode
+from repro.kernel import SensorNode, state_digest
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_dataflow.json"
@@ -121,18 +121,9 @@ def _run(workload: str, elide: bool):
     return run
 
 
-def _digest(node):
-    kernel = node.kernel
-    return (node.cpu.instret, node.cpu.cycles, node.cpu.sp,
-            bytes(node.cpu.mem.data),
-            dict(kernel.stats.trap_counts),
-            kernel.stats.kernel_cycles,
-            kernel.stats.scheduler_checks)
-
-
 def _identical(workload: str) -> None:
-    assert _digest(_run(workload, True)()) == \
-        _digest(_run(workload, False)())
+    assert state_digest(_run(workload, True)()) == \
+        state_digest(_run(workload, False)())
 
 
 def _rate(benchmark, run, rounds: int = 3) -> float:

@@ -1,8 +1,8 @@
-"""Trace-JIT ablation: chained traces vs per-block specialization.
+"""Trace-JIT ablation: chained traces vs one-node traces.
 
 The same two trap-heavy workloads as ``bench_trapspec.py`` run with the
-trace compiler on and off (everything else identical: fused,
-specialized):
+trace compiler chaining and not (everything else identical: fused,
+specialized; untraced, trap blocks compile as one-node traces):
 
 * ``TRAP_LOOP`` — the SPIN shape the recorded kernelized baselines
   measure.  Traced, the whole nested loop runs inside two closures: the
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from bench_trapspec import TRAP_LOOP, TRAP_MIX
 
-from repro.kernel import SensorNode
+from repro.kernel import SensorNode, state_digest
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_trace.json"
@@ -64,16 +64,9 @@ def _run(workload: str, trace: bool, max_block_members=None):
     return run
 
 
-def _digest(node):
-    kernel = node.kernel
-    return (node.cpu.instret, node.cpu.cycles, node.cpu.sp,
-            bytes(node.cpu.mem.data), dict(kernel.stats.trap_counts),
-            kernel.stats.kernel_cycles, kernel.stats.scheduler_checks)
-
-
 def _identical(workload: str) -> None:
-    assert _digest(_run(workload, True)()) == \
-        _digest(_run(workload, False)())
+    assert state_digest(_run(workload, True)()) == \
+        state_digest(_run(workload, False)())
 
 
 def _rate(benchmark, run, rounds: int = 3) -> float:
@@ -162,7 +155,7 @@ def _phase(which: str) -> None:
                 f"warm run compiled {stats.compiled} traces " \
                 f"({workload}): store did not serve them"
             assert stats.store_hits > 0
-        digest = blake2b_hex(repr(_digest(node)).encode(),
+        digest = blake2b_hex(repr(state_digest(node)).encode(),
                              digest_size=8)
         print(f"{workload}: digest {digest}")
     # stdout carries only the digests, so ``cmp cold.out warm.out``

@@ -1,13 +1,14 @@
 """Trap-specialization ablation: specialized vs generic trap dispatch.
 
-Two trap-heavy workloads run kernelized+fused with the specializing
-trap compiler on and off:
+Two trap-heavy workloads run kernelized+fused with the specialized tier
+(``specialize=True, trace=False``: trap blocks compile as one-node
+traces, nothing chains) on and off:
 
 * ``TRAP_LOOP`` — the SPIN workload ``BENCH_interpreter.json``'s
   kernelized baseline was recorded on.  Every second retired
   instruction is a rewritten backward branch, so the run is one long
-  stream of BRANCH_BACKWARD traps; the specializer compiles the loop
-  into a single self-iterating closure.
+  stream of BRANCH_BACKWARD traps; the loop compiles into a single
+  strip-mined one-node trace.
 * ``TRAP_MIX`` — a loop whose body is almost entirely rewritten memory
   accesses: heap stores/loads through X, displacement stores through Y,
   pushes/pops and a call/return pair, closed by a backward branch.
@@ -21,7 +22,7 @@ specialization is a pure execution-speed knob.  Measured rates land in
 import json
 from pathlib import Path
 
-from repro.kernel import SensorNode
+from repro.kernel import SensorNode, state_digest
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_trapspec.json"
@@ -92,7 +93,7 @@ def _run(workload: str, specialize: bool):
     def run():
         node = SensorNode.from_sources(
             [(workload, WORKLOADS[workload])], fuse=True,
-            specialize=specialize, block_cache=False)
+            specialize=specialize, trace=False, block_cache=False)
         node.run(max_instructions=10_000_000)
         assert node.finished
         if specialize:
@@ -103,16 +104,8 @@ def _run(workload: str, specialize: bool):
 
 
 def _identical(workload: str) -> None:
-    def digest(node):
-        kernel = node.kernel
-        return (node.cpu.instret, node.cpu.cycles, node.cpu.sp,
-                bytes(node.cpu.mem.data),
-                dict(kernel.stats.trap_counts),
-                kernel.stats.kernel_cycles,
-                kernel.stats.scheduler_checks)
-
-    assert digest(_run(workload, True)()) == \
-        digest(_run(workload, False)())
+    assert state_digest(_run(workload, True)()) == \
+        state_digest(_run(workload, False)())
 
 
 def _rate(benchmark, run, rounds: int = 3) -> float:

@@ -108,8 +108,9 @@ class _CachedBlock:
 
     Holds the shareable compilation products: the code object, the
     site-specific flag tables it references, and the bookkeeping needed
-    to rebind it to another CPU (``term_addr`` for the generic-thunk
-    terminator, ``trap``/``spec_key`` for specialized trap terminators).
+    to rebind it to another CPU (``term_addr`` for the thunk-calling
+    terminator of a plain superblock, ``trap``/``spec_key`` for the
+    chained trap sites of a trace).
     """
 
     __slots__ = ("code", "tables", "icount", "cost", "term_addr", "trap",
@@ -122,18 +123,18 @@ class _CachedBlock:
         self.icount = icount
         self.cost = cost
         self.term_addr = term_addr
-        self.trap = trap          # (site, target, is_call) or None
-        self.spec_key = spec_key  # specialization constants, or None
+        self.trap = trap          # trace: ((site, target, is_call), ...)
+        self.spec_key = spec_key  # trace specialization constants
 
 
 class SuperblockCache:
     """Cross-CPU superblock translation cache.
 
     Superblock compilation depends only on the flash image, the data
-    memory size, the trap ranges, and — for specialized trap
-    terminators — the constants the specializer baked in.  All of that
-    is captured in the key ``(base_key, pc)`` plus the per-variant
-    ``spec_key``, so N nodes burned with the same image (the common
+    memory size, the trap ranges, and — for traces with chained trap
+    sites — the constants baked in.  All of that is captured in the key
+    ``(base_key, pc)`` plus the per-variant ``spec_key`` (None for
+    plain superblocks), so N nodes burned with the same image (the common
     network-simulation shape) compile each hot block once and share the
     code objects; every further node only pays an ``exec`` to rebind
     the code to its own registers and memory.
@@ -307,7 +308,6 @@ class AvrCpu(SimClock):
         self._trap_hi = -1
         self._trap_handler: Optional[Callable] = None
         self._trap_thunk_factory: Optional[Callable] = None
-        self._trap_inline_factory: Optional[Callable] = None
         if block_cache is None:
             self._block_cache: Optional[SuperblockCache] = \
                 _GLOBAL_BLOCK_CACHE
@@ -342,8 +342,7 @@ class AvrCpu(SimClock):
         device.attach(self)
 
     def set_trap_region(self, lo: int, hi: int, handler,
-                        thunk_factory: Optional[Callable] = None,
-                        inline_factory: Optional[Callable] = None) -> None:
+                        thunk_factory: Optional[Callable] = None) -> None:
         """Route execution entering flash words [*lo*, *hi*) to *handler*.
 
         ``handler(cpu, site, target, is_call)`` receives the word address of
@@ -355,18 +354,10 @@ class AvrCpu(SimClock):
         return a specialized closure for a patched site, resolved once at
         decode time (the kernel uses this to pre-bind its dispatch);
         returning ``None`` falls back to calling *handler*.
-
-        ``inline_factory(cpu, site, target, is_call, invalidate)``, when
-        given, may return ``(lines, bindings, spec_key)`` — Python
-        statements the superblock compiler splices in as the block's
-        terminator in place of the thunk call, the namespace entries
-        they need, and a hashable key of the constants they bake in
-        (see :class:`repro.kernel.specialize.TrapSpecializer`).
         """
         self._trap_ranges = [(lo, hi)]
         self._trap_handler = handler
         self._trap_thunk_factory = thunk_factory
-        self._trap_inline_factory = inline_factory
         self._update_trap_envelope()
         # Invalidate decoded thunks and fused blocks: targets may now trap.
         self.invalidate_decode()
@@ -651,17 +642,17 @@ class AvrCpu(SimClock):
         Members are emitted as inline Python source and compiled with
         ``exec``; the terminating instruction (control flow / SP / I/O /
         interrupt-flag side effects) executes through its normal thunk —
-        or is inlined too for the hot unconditional/conditional branches
-        and, when an ``inline_factory`` is registered, for trap sites
-        (the specialized trap code becomes the block terminator).
+        or is inlined too for the hot unconditional/conditional branches.
+        Trap-terminated blocks with a compiled fast path come from the
+        trace compiler instead (see :mod:`repro.avr.trace`).
         Cycle accumulation order matches stepwise execution exactly:
         member cycles land on the clock *before* the terminator runs, so
         terminators (and trap handlers) observe identical ``cpu.cycles``.
 
         Compiled blocks are shared through the :class:`SuperblockCache`
-        (keyed by flash fingerprint, memory size, trap ranges, pc, and
-        the trap specialization key), so an identically-burned CPU
-        rebinds the cached code object instead of recompiling.
+        (keyed by flash fingerprint, memory size, trap ranges and pc),
+        so an identically-burned CPU rebinds the cached code object
+        instead of recompiling.
 
         Returns and caches ``(closure, instruction_count, member_cycles)``.
         """
@@ -689,7 +680,6 @@ class AvrCpu(SimClock):
         cur = pc
         term = None
         term_ins = None
-        trap_info = None
         while len(member_addrs) < self._max_block:
             if self.in_trap_region(cur):
                 break  # never fuse across a trap-region boundary
@@ -708,10 +698,6 @@ class AvrCpu(SimClock):
                 if term is None:
                     term = self._decode_at(cur)
                 term_ins = ins
-                if ins.mnemonic in ("JMP", "CALL") and \
-                        self.in_trap_region(ins.operands[0]):
-                    trap_info = (ins.address, ins.operands[0],
-                                 ins.mnemonic == "CALL")
                 break
             src, cycles, touches_sreg = member
             lines.extend(src)
@@ -722,26 +708,8 @@ class AvrCpu(SimClock):
 
         count = len(member_addrs)
         body: Optional[List[str]] = None
-        spec_key = None
         term_addr: Optional[int] = None
-        trap_spec = None
-        if trap_info is not None and self.profile is None and \
-                self._trap_inline_factory is not None:
-            site, target, is_call = trap_info
-            trap_spec = self._trap_inline_factory(
-                self, site, target, is_call,
-                invalidate=f"k_bl[{pc}] = None",
-                block=(pc, lines, cost, count, uses_sreg))
-        if trap_spec is not None:
-            trap_lines, trap_bindings, spec_key, trap_full = trap_spec
-            namespace.update(trap_bindings)
-            if trap_full:
-                # The factory produced a complete closure body (a
-                # self-looping backward-branch trap): members, guard
-                # and all accounting live inside it.
-                body = list(trap_lines)
-                icount = count + 1
-        if body is None and term_ins is not None and self.profile is None:
+        if term_ins is not None and self.profile is None:
             body = self._self_loop_body(term_ins, lines, cost, count,
                                         uses_sreg, pc)
             if body is not None:
@@ -756,40 +724,31 @@ class AvrCpu(SimClock):
                     body.append(f"profile[{address}] += 1")
             if uses_sreg:
                 body.append("cpu.sreg = sr")
-            if trap_spec is not None:
+            inline_term = None
+            if term_ins is not None and self.profile is None:
+                inline_term = self._inline_term_src(term_ins, cost,
+                                                    count, uses_sreg)
+            if inline_term is not None:
+                body.extend(inline_term)
+                icount = count + 1
+            elif term is not None:
                 if cost:
                     body.append(f"cpu.cycles += {cost}")
                 if count:
                     body.append(f"cpu.instret += {count}")
-                body.extend(trap_lines)
+                body.append("t()")
                 body.append("cpu.instret += 1")
                 icount = count + 1
+                term_addr = cur
             else:
-                inline_term = None
-                if term_ins is not None and self.profile is None:
-                    inline_term = self._inline_term_src(term_ins, cost,
-                                                        count, uses_sreg)
-                if inline_term is not None:
-                    body.extend(inline_term)
-                    icount = count + 1
-                elif term is not None:
-                    if cost:
-                        body.append(f"cpu.cycles += {cost}")
-                    if count:
-                        body.append(f"cpu.instret += {count}")
-                    body.append("t()")
-                    body.append("cpu.instret += 1")
-                    icount = count + 1
-                    term_addr = cur
-                else:
-                    # Block stopped before a trap region / undecodable
-                    # word / the member cap: leave pc on the next
-                    # unexecuted word.
-                    body.append(f"cpu.pc = {cur}")
-                    if cost:
-                        body.append(f"cpu.cycles += {cost}")
-                    body.append(f"cpu.instret += {count}")
-                    icount = count
+                # Block stopped before a trap region / undecodable
+                # word / the member cap: leave pc on the next
+                # unexecuted word.
+                body.append(f"cpu.pc = {cur}")
+                if cost:
+                    body.append(f"cpu.cycles += {cost}")
+                body.append(f"cpu.instret += {count}")
+                icount = count
         namespace["t"] = term
         source = "def _blk():\n" + "\n".join(
             "    " + line for line in body)
@@ -802,7 +761,7 @@ class AvrCpu(SimClock):
                       if name[0] in "tu" and name[1:].isdigit()}
             self._block_cache.store(base, pc, _CachedBlock(
                 code=code, tables=tables, icount=icount, cost=cost,
-                term_addr=term_addr, trap=trap_info, spec_key=spec_key))
+                term_addr=term_addr, trap=None, spec_key=None))
         return entry
 
     def _cache_base(self):
@@ -820,32 +779,10 @@ class AvrCpu(SimClock):
         return self._cache_base_key
 
     def _from_cache(self, base, pc: int):
-        """Rebind a cached superblock to this CPU, or None on miss.
-
-        A trap-terminated group may hold several variants: the generic
-        thunk-calling block (``spec_key None``) plus one per
-        specialization the factory produced.  The factory is consulted
-        first so this CPU lands on the variant matching its *current*
-        constants; a missing variant falls through to a full fuse,
-        which stores it for the next node.
-        """
+        """Rebind a cached superblock to this CPU, or None on miss."""
         cache = self._block_cache
         group = cache.groups.get((base, pc))
-        if group is None:
-            cache.misses += 1
-            return None
-        trap = next((block.trap for block in group.values()
-                     if block.trap is not None), None)
-        spec_key = None
-        bindings = None
-        if trap is not None and self._trap_inline_factory is not None:
-            site, target, is_call = trap
-            result = self._trap_inline_factory(
-                self, site, target, is_call,
-                invalidate=f"k_bl[{pc}] = None")
-            if result is not None:
-                _, bindings, spec_key, _ = result
-        block = group.get(spec_key)
+        block = group.get(None) if group else None
         if block is None:
             cache.misses += 1
             return None
@@ -858,8 +795,6 @@ class AvrCpu(SimClock):
             "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],
         }
         ns.update(block.tables)
-        if spec_key is not None:
-            ns.update(bindings)
         term = None
         if block.term_addr is not None:
             term = self._exec[block.term_addr]

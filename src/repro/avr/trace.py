@@ -1,4 +1,5 @@
-"""Trace JIT: direct-threaded chaining of compiled superblocks.
+"""Trace JIT: the one code generator for compiled trap sites and
+direct-threaded chains of superblocks.
 
 The superblock tier (:meth:`AvrCpu._fuse_block`) compiles straight-line
 runs but still returns to the dispatch loop between every block: a hot
@@ -6,17 +7,18 @@ multi-block loop pays a full dispatch round-trip — limit checks, event
 check, IRQ check, attribute traffic on ``cycles``/``instret``/``sreg`` —
 per *block* instead of per loop.  This module chains blocks whose
 terminators are direct transfers (unconditional jumps, conditional
-branches, and the specialized trap fast paths) into one ``exec``-compiled
-closure, so the whole loop executes with locals-only state:
+branches, and the trap fast paths) into one ``exec``-compiled closure,
+so the whole loop executes with locals-only state:
 
 * ``cy``/``n``/``sr`` shadow ``cycles``/``instret``/``sreg``;
 * every *seam* between chained blocks replicates the dispatch loop's
   exact-stop check (``da``/``mi``/``mc``), so limits, due events and
   ``until()`` observe bit-identical boundaries;
-* specialized trap sites (see :class:`~repro.kernel.specialize
-  .TrapSpecializer`) chain through their fast arms; every slow arm
-  flushes the locals and exits through the generic dispatch, exactly as
-  a stand-alone specialized block would;
+* patched trap sites (facts from :class:`~repro.kernel.specialize
+  .TrapSpecializer`) chain through fast arms with the task's region
+  constants baked in; every slow arm flushes the locals and exits
+  through the generic dispatch (:mod:`repro.kernel.traps`, the
+  reference semantics);
 * one task/epoch guard is hoisted to trace entry (all chained sites
   belong to one task, and nothing mid-trace can retire the task or move
   a region), deoptimizing to a generic execution of the head block;
@@ -31,11 +33,18 @@ closure, so the whole loop executes with locals-only state:
   predicate directly and the flag lines materialize only on trace exits
   that did not kill them.
 
+This is the only place trap fast-path source is generated.  A block
+ending in a trap compiles as a *one-node trace* when nothing chains
+after it (and always under ``trace=False``, where the tracer is capped
+at one block), and :func:`compile_trap_thunk` emits the same node with
+no members as the stepwise thunk for a site.
+
 Mid-trace safety rests on the same invariants as superblock fusion:
-members never touch I/O, SP (outside specialized trap code), or the I
+members never touch I/O, SP (outside compiled trap code), or the I
 flag, so no event can fire, no interrupt can become deliverable, and no
 device state can change between seams; SEI, RETI, ``OUT`` to SREG,
-skips, indirect jumps and calls all end a trace.
+skips, indirect jumps and calls all end a trace, and an I/O-class
+``LDS``/``STS`` trap runs on flushed state as a trace's last node.
 
 Compiled traces are shared across CPUs through the in-process
 :class:`~repro.avr.cpu.SuperblockCache` (key-prefixed ``"trace"``) and,
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -70,9 +80,12 @@ _MAX_TRACE_BLOCKS = 8
 #: limits.
 _MAX_STRIP = 16_777_216
 
+#: A generated line that updates shadow state.
+_SHADOW_UPDATE = re.compile(r"^\s*(cy|n|kc|c\d+) [+-]= ", re.M)
+
 #: On-disk artifact format version; any change to the generated source
 #: conventions or the artifact schema must bump this.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 @dataclass
@@ -123,6 +136,20 @@ def _build_tables(manifest) -> dict:
         else:
             raise ValueError(f"unknown table kind {kind!r}")
     return tables
+
+
+def _bind_facts(ns: dict, facts) -> None:
+    """Namespace bindings for the chained sites: the shared kernel
+    objects plus ``kk{i}`` per distinct trap kind, in first-occurrence
+    order over the chain (the emitter numbers its count locals the same
+    way)."""
+    kinds: List[str] = []
+    for fact in facts:
+        ns.update(fact.bindings)
+        name = fact.kind.name
+        if name not in kinds:
+            ns[f"kk{len(kinds)}"] = fact.kind
+            kinds.append(name)
 
 
 def _ind(lines, depth: int = 1) -> List[str]:
@@ -296,8 +323,10 @@ class TraceStore:
 
 
 class TraceCompiler:
-    """Assembles, compiles, caches and rebinds multi-block traces.
+    """Assembles, compiles, caches and rebinds traces.
 
+    A trace chains up to *max_blocks* blocks; a lone trap-terminated
+    block is a one-node trace (``max_blocks=1`` compiles only those).
     Installed on the CPU via :meth:`AvrCpu.set_tracer`;
     :meth:`entry_for` is consulted by ``_fuse_block`` before plain
     fusion and returns a ``(closure, icount, cost)`` dispatch entry (the
@@ -364,10 +393,12 @@ class TraceCompiler:
         every site under one entry guard, and guarding (and keying) the
         epoch uniformly means any externally-forced region change
         retires all of the owning task's traces through the normal
-        deopt-then-recompile path.
+        deopt-then-recompile path.  It ends with the block cap, so a
+        one-node tier never picks up a chained trace from a shared cache
+        or store.
         """
         if not sites:
-            return ((), None), []
+            return ((), None, self.max_blocks), []
         specializer = self.specializer
         if specializer is None:
             return None
@@ -385,25 +416,12 @@ class TraceCompiler:
                 return None
             facts.append(fact)
             keys.append(fact.spec_key)
-        return (tuple(keys), facts[0].epoch), facts
-
-    def _bind_facts(self, ns: dict, facts) -> None:
-        """Namespace bindings for the chained sites: the shared kernel
-        objects plus ``kk{i}`` per distinct trap kind, in first-occurrence
-        order over the chain (the emitter numbers its count locals the
-        same way)."""
-        kinds: List[str] = []
-        for fact in facts:
-            ns.update(fact.bindings)
-            name = fact.kind.name
-            if name not in kinds:
-                ns[f"kk{len(kinds)}"] = fact.kind
-                kinds.append(name)
+        return (tuple(keys), facts[0].epoch, self.max_blocks), facts
 
     def _rebind(self, block: _CachedBlock, facts):
         ns = _base_ns(self.cpu)
         ns.update(block.tables)
-        self._bind_facts(ns, facts)
+        _bind_facts(ns, facts)
         exec(block.code, ns)
         return (ns["_blk"], block.icount, block.cost)
 
@@ -439,7 +457,7 @@ class TraceCompiler:
             code = compile(source, f"<trace@{pc:#06x}>", "exec")
             ns = _base_ns(self.cpu)
             ns.update(tables)
-            self._bind_facts(ns, facts)
+            _bind_facts(ns, facts)
             exec(code, ns)
             entry = (ns["_blk"], icount, cost)
         except (KeyError, IndexError, TypeError, ValueError,
@@ -467,11 +485,11 @@ class TraceCompiler:
         source = _Emitter(nodes, tail).source()
         facts = [node.facts for node in nodes if node.facts is not None]
         key = (tuple(fact.spec_key for fact in facts),
-               facts[0].epoch if facts else None)
+               facts[0].epoch if facts else None, self.max_blocks)
         sites = tuple((fact.site, fact.target, fact.is_call)
                       for fact in facts)
         code = compile(source, f"<trace@{pc:#06x}>", "exec")
-        self._bind_facts(ns, facts)
+        _bind_facts(ns, facts)
         exec(code, ns)
         head = nodes[0]
         entry = (ns["_blk"], head.count + 1, head.cost)
@@ -502,9 +520,10 @@ class TraceCompiler:
         ``("backedge",)`` when the walk closed a loop back to *head*,
         ``("exit", addr)`` when it stopped at an unchainable block, the
         block cap, or an inner join, and ``("end",)`` when the last
-        node's arms all resolve internally.  Single blocks are declined:
-        plain fusion (with its self-loop and backward-branch-trap full
-        bodies) already handles them.
+        node's arms all resolve internally.  A single block is declined
+        unless it ends in a trap: plain fusion (with its self-loop body)
+        already handles the others, and a lone trap block compiles as a
+        one-node trace.
         """
         nodes: List[_Node] = []
         starts: Dict[int, int] = {}
@@ -534,14 +553,14 @@ class TraceCompiler:
                 tail = ("end",)
                 break
             cur = node.cont
-        if len(nodes) < 2:
+        if len(nodes) < 2 and not (nodes and nodes[0].kind == "trap"):
             return None
         return nodes, tail
 
     def _build_node(self, start: int, ns: dict, manifest, uid):
         """Fuse members from *start* and classify the terminator, or
         None when the block cannot be chained (terminator with dynamic
-        or out-of-model control flow, trap the specializer declines,
+        or out-of-model control flow, trap without a fast path,
         decode error, member cap, trap-region boundary)."""
         cpu = self.cpu
         members: List[_Member] = []
@@ -592,7 +611,7 @@ class TraceCompiler:
                 cpu, ins.address, ins.operands[0], m == "CALL")
             if facts is None:
                 return None
-            return self._classify_trap(node, facts)
+            return _classify_trap(node, facts)
         if m in ("BRBS", "BRBC"):
             s, k = ins.operands
             node.kind = "brcond"
@@ -621,54 +640,91 @@ class TraceCompiler:
         # undecodable: the trace ends before this block.
         return None
 
-    def _classify_trap(self, node: _Node, facts):
-        node.kind = "trap"
-        node.facts = facts
-        name = facts.kind.name
-        resume = facts.site + 2
-        if name == "BRANCH_BACKWARD":
-            bit, _branch_if_set, nat_target = facts.params
-            node.bit = bit
-            node.branch_if_set = facts.params[1]
-            node.nat_target = nat_target
-            if nat_target == node.start:
-                node.strip = True
-                node.cont = None if bit is None else resume
-            elif bit is None:
-                node.cont = None  # backedge or exit, resolved internally
-            else:
-                node.cont = resume
-            return node
-        if name == "MEM_DIRECT":
-            _mn, _reg, logical = facts.params
-            config = facts.config
-            region = facts.region
-            if logical < config.ram_start:
-                return None  # I/O class: hooks may raise events/IRQs
-            if logical >= config.memory_size:
-                return None  # always a fault: stay generic
-            if logical >= config.ram_start + region.heap_size:
-                physical = logical + (region.p_u - config.memory_size)
-                if not region.p_h <= physical < region.p_u:
-                    return None  # faults at this geometry
+
+def _classify_trap(node: _Node, facts, strip: bool = True):
+    """Classify *node* as ending in the trap *facts* describes, or None
+    when the emitter has no fast path for it.  *strip* off never
+    strip-mines a self-looping branch (a stepwise thunk executes exactly
+    one instruction)."""
+    node.kind = "trap"
+    node.facts = facts
+    name = facts.kind.name
+    resume = facts.site + 2
+    if name == "BRANCH_BACKWARD":
+        bit, _branch_if_set, nat_target = facts.params
+        node.bit = bit
+        node.branch_if_set = facts.params[1]
+        node.nat_target = nat_target
+        if strip and nat_target == node.start:
+            node.strip = True
+            node.cont = None if bit is None else resume
+        elif bit is None:
+            node.cont = None  # backedge or exit, resolved internally
+        else:
             node.cont = resume
+        return node
+    if name == "MEM_DIRECT":
+        _mn, _reg, logical = facts.params
+        config = facts.config
+        region = facts.region
+        if logical < config.ram_start:
+            node.cont = None  # I/O class: the access ends the trace
             return node
-        if name in ("MEM_INDIRECT", "STACK_PUSH", "STACK_POP"):
-            node.cont = resume
-            return node
-        if name == "CALL_DIRECT":
-            node.cont = facts.params[0]
-            return node
+        if logical >= config.memory_size:
+            return None  # always a fault: stay generic
+        if logical >= config.ram_start + region.heap_size:
+            physical = logical + (region.p_u - config.memory_size)
+            if not region.p_h <= physical < region.p_u:
+                return None  # faults at this geometry
+        node.cont = resume
+        return node
+    if name in ("MEM_INDIRECT", "STACK_PUSH", "STACK_POP"):
+        node.cont = resume
+        return node
+    if name == "CALL_DIRECT":
+        node.cont = facts.params[0]
+        return node
+    return None
+
+
+def trap_thunk_source(facts) -> Optional[str]:
+    """Source of the stepwise thunk for the patched site *facts*
+    describes (a one-node closure with no members, whose caller counts
+    the trap instruction), or None when the site has no fast path."""
+    node = _classify_trap(_Node(facts.site, []), facts, strip=False)
+    if node is None:
         return None
+    tail = ("end",) if node.cont is None else ("exit", node.cont)
+    return _Emitter([node], tail, step=True).source()
+
+
+def compile_trap_thunk(cpu, facts):
+    """Compiled :func:`trap_thunk_source` bound to *cpu*, or None."""
+    source = trap_thunk_source(facts)
+    if source is None:
+        return None
+    ns = _base_ns(cpu)
+    _bind_facts(ns, [facts])
+    exec(compile(source, f"<trapspec@{facts.site:#06x}>", "exec"), ns)
+    return ns["_blk"]
 
 
 class _Emitter:
-    """Generates the closure source for one assembled trace."""
+    """Generates the closure source for one assembled trace.
 
-    def __init__(self, nodes: List[_Node], tail: Tuple):
+    *step* emits a stepwise thunk instead: one member-less trap node
+    whose caller counts the trap instruction, with no backedge (the
+    closure executes exactly one instruction) and whose deopt retires
+    the per-site thunk slot rather than the block slot.
+    """
+
+    def __init__(self, nodes: List[_Node], tail: Tuple, step: bool = False):
         self.nodes = nodes
         self.tail = tail
-        self.head_addr = nodes[0].start
+        self.step = step
+        self.head_addr = None if step else nodes[0].start
+        self.loops = False   # a backedge was emitted: wrap in a loop
+        self.limits = False  # a seam or strip reads the run limits
         trap_facts = [n.facts for n in nodes if n.facts is not None]
         self.has_trap = bool(trap_facts)
         self.has_branch_trap = any(
@@ -682,6 +738,10 @@ class _Emitter:
                 if name not in self.kind_order:
                     self.kind_order.append(name)
                 node.kind_index = self.kind_order.index(name)
+        #: Per-kind count settlement, one line per count local.
+        self.settles = [f"if c{i}: k_counts[kk{i}] = "
+                        f"k_counts.get(kk{i}, 0) + c{i}"
+                        for i in range(len(self.kind_order))]
         self._decide(nodes)
         self.uses_sr = self._uses_sr(nodes)
 
@@ -791,19 +851,19 @@ class _Emitter:
         return (last.flags, last.writes)
 
     def _flush(self, pc: Optional[int], tb: str, mats=(),
-               slow: Optional[str] = None) -> List[str]:
+               then=()) -> List[str]:
         """Exit sequence: materialize deferred flags, write the shadowed
         state back, settle the trap counters, set the resume pc, then
-        (order matters) run the branch-counter/scheduler logic and any
-        slow-path dispatch — both may preempt and must observe exactly
-        the state a stand-alone specialized block would have left."""
+        (order matters) run the branch-counter/scheduler logic and the
+        *then* statements — a slow arm's generic dispatch or an I/O
+        access, followed by the trap's instruction count.  All may
+        preempt and must observe exactly the state stepwise execution
+        would have left."""
         lines = list(mats)
         if self.uses_sr:
             lines.append("cpu.sreg = sr")
         lines += ["cpu.cycles = cy", "cpu.instret = n"]
-        for i in range(len(self.kind_order)):
-            lines.append(f"if c{i}: k_counts[kk{i}] = "
-                         f"k_counts.get(kk{i}, 0) + c{i}")
+        lines += self.settles
         if self.has_trap:
             lines += ["k_stats.kernel_cycles += kc",
                       "k_task.kernel_cycles += kc"]
@@ -821,16 +881,28 @@ class _Emitter:
                           "    k_sched()",
                           "else:",
                           "    k_task.branch_counter = tb"]
-        if slow is not None:
-            lines += [slow, "cpu.instret += 1"]
+        if then:
+            lines += self._then(then)
         lines.append("return")
         return lines
+
+    def _then(self, then) -> List[str]:
+        """*then*, then the trap's instruction count (a stepwise thunk's
+        caller counts it)."""
+        return list(then) + ([] if self.step else ["cpu.instret += 1"])
+
+    def _count(self, members: int) -> List[str]:
+        """``n`` update for *members* fused instructions plus the trap
+        instruction itself (unless the caller counts it)."""
+        total = members + (0 if self.step else 1)
+        return [f"n += {total}"] if total else []
 
     def _seam(self, target: _Node, pending) -> List[str]:
         """Dispatch-boundary check before re-entering *target* inside
         the trace: replicates ``_run_fused``'s event/limit gate, exiting
         (with all state flushed) when the next block may not start."""
         mats = pending[0] if pending else ()
+        self.limits = True
         lines = [f"if cy >= da or n + {target.count + 1} > mi "
                  f"or cy + {target.cost} >= mc:"]
         lines += _ind(self._flush(target.start, "plain", mats=mats))
@@ -839,6 +911,7 @@ class _Emitter:
         return lines
 
     def _backedge(self, pending) -> List[str]:
+        self.loops = True
         return self._seam(self.nodes[0], pending) + ["continue"]
 
     # -- per-node bodies ----------------------------------------------------------
@@ -953,10 +1026,10 @@ class _Emitter:
             else f"r[{reg}] = mem[tp]"
         arm_heap = [f"{counter} += 1", eff_heap,
                     f"cy += {charge_heap}", f"kc += {charge_heap}"] \
-            + post + ["n += 1"]
+            + post + self._count(0)
         arm_stack = [f"{counter} += 1", eff_stack,
                      f"cy += {charge_stack}", f"kc += {charge_stack}"] \
-            + post + ["n += 1"]
+            + post + self._count(0)
         lines = self._trap_prologue(node)
         lines += addr
         if facts.elide == "heap":
@@ -975,9 +1048,9 @@ class _Emitter:
         lines.append(f"    if tp >= {region.p_h}:")
         lines += _ind(arm_stack, 2)
         lines.append("    else:")
-        lines += _ind(self._flush(None, "plain", slow=slow), 2)
+        lines += _ind(self._flush(None, "plain", then=[slow]), 2)
         lines.append("else:")
-        lines += _ind(self._flush(None, "plain", slow=slow))
+        lines += _ind(self._flush(None, "plain", then=[slow]))
         return lines
 
     def _mem_direct_body(self, node: _Node) -> List[str]:
@@ -987,17 +1060,31 @@ class _Emitter:
         region = facts.region
         config = facts.config
         rs = config.ram_start
+        store = mnemonic == "STS"
+        lines = self._trap_prologue(node)
+        if logical < rs:
+            # I/O class: the hooks read the clock and SREG and may
+            # schedule events or raise IRQs, so the access (and its
+            # count and charge) runs on flushed state and ends the trace.
+            kind = f"kk{node.kind_index}"
+            effect = f"k_iowrite({logical}, r[{reg}])" if store \
+                else f"r[{reg}] = k_ioread({logical})"
+            charge = 2 + costs.MEM_DIRECT_IO
+            return lines + self._flush(facts.site + 2, "plain", then=[
+                f"k_counts[{kind}] = k_counts.get({kind}, 0) + 1", effect,
+                f"cpu.cycles += {charge}",
+                f"k_stats.kernel_cycles += {charge}",
+                f"k_task.kernel_cycles += {charge}"])
+        lines.append(f"c{node.kind_index} += 1")
         if logical < rs + region.heap_size:
             physical = region.p_l + (logical - rs)
         else:
             physical = logical + (region.p_u - config.memory_size)
-        store = mnemonic == "STS"
         effect = f"mem[{physical}] = r[{reg}]" if store \
             else f"r[{reg}] = mem[{physical}]"
         charge = 2 + costs.MEM_DIRECT_OTHER
-        lines = self._trap_prologue(node)
-        lines += [f"c{node.kind_index} += 1", effect,
-                  f"cy += {charge}", f"kc += {charge}", "n += 1"]
+        lines += [effect, f"cy += {charge}", f"kc += {charge}"] \
+            + self._count(0)
         return lines
 
     def _stack_push_body(self, node: _Node) -> List[str]:
@@ -1014,13 +1101,13 @@ class _Emitter:
                 "k_task.max_stack_used = td",
                 f"mem[tsp] = r[{reg}]",
                 "cpu.sp = tsp - 1",
-                f"cy += {charge}", f"kc += {charge}", "n += 1"]
+                f"cy += {charge}", f"kc += {charge}"] + self._count(0)
         lines = self._trap_prologue(node)
         lines += ["tsp = cpu.sp", f"if tsp >= {floor}:"]
         lines += _ind(fast)
         lines.append("else:")
         lines += _ind(self._flush(None, "plain",
-                                  slow=self._slow_call(facts)))
+                                  then=[self._slow_call(facts)]))
         return lines
 
     def _stack_pop_body(self, node: _Node) -> List[str]:
@@ -1032,7 +1119,7 @@ class _Emitter:
         fast = [f"c{node.kind_index} += 1",
                 "cpu.sp = tsp",
                 f"r[{reg}] = mem[tsp]",
-                f"cy += {charge}", f"kc += {charge}", "n += 1"]
+                f"cy += {charge}", f"kc += {charge}"] + self._count(0)
         lines = self._trap_prologue(node)
         lines.append("tsp = cpu.sp + 1")
         if facts.elide == "pop":
@@ -1043,7 +1130,7 @@ class _Emitter:
         lines += _ind(fast)
         lines.append("else:")
         lines += _ind(self._flush(None, "plain",
-                                  slow=self._slow_call(facts)))
+                                  then=[self._slow_call(facts)]))
         return lines
 
     def _call_direct_body(self, node: _Node) -> List[str]:
@@ -1062,13 +1149,13 @@ class _Emitter:
                 f"mem[tsp] = {resume & 0xFF}",
                 f"mem[tsp - 1] = {(resume >> 8) & 0xFF}",
                 "cpu.sp = tsp - 2",
-                f"cy += {charge}", f"kc += {charge}", "n += 1"]
+                f"cy += {charge}", f"kc += {charge}"] + self._count(0)
         lines = self._trap_prologue(node)
         lines += ["tsp = cpu.sp", f"if tsp - 1 >= {floor}:"]
         lines += _ind(fast)
         lines.append("else:")
         lines += _ind(self._flush(None, "plain",
-                                  slow=self._slow_call(facts)))
+                                  then=[self._slow_call(facts)]))
         return lines
 
     def _branch_trap_body(self, node: _Node):
@@ -1077,9 +1164,8 @@ class _Emitter:
         inline = costs.BRANCH_COUNTER_INLINE
         resume = facts.site + 2
         counter = f"c{node.kind_index}"
-        lines = self._member_lines(node)
-        lines += [f"n += {node.count + 1}", f"{counter} += 1",
-                  "tb -= 1"]
+        lines = self._member_lines(node) + self._count(node.count)
+        lines += [f"{counter} += 1", "tb -= 1"]
         if node.bit is None:
             lines += [f"cy += {node.cost + 2 + inline}",
                       f"kc += {2 + inline}"]
@@ -1125,10 +1211,10 @@ class _Emitter:
         per-iteration checks; the post-strip check then trips on exactly
         the iteration stepwise execution would have stopped at.  A
         pending ``until()`` (``da == -1.0``) degenerates to one
-        iteration per dispatch, matching the specializer's full-body
-        loop.
+        iteration per dispatch.
         """
         from ..kernel import costs
+        self.limits = True
         facts = node.facts
         inline = costs.BRANCH_COUNTER_INLINE
         resume = facts.site + 2
@@ -1193,68 +1279,25 @@ class _Emitter:
         return [guard] + _ind(self._deopt_lines())
 
     def _deopt_lines(self) -> List[str]:
-        """Guard-failure arm: retire this trace's cache slot and execute
-        the head block generically (full flags, generic trap dispatch),
-        mirroring what a deoptimized fused block would do."""
+        """Guard-failure arm: retire this unit's cache slot and execute
+        the head block generically: step its members (the dispatch loop
+        checked they fit the run limits, and nothing inside a block can
+        fire an event or enable an interrupt), then the terminator — a
+        trap through the generic dispatch."""
         head = self.nodes[0]
-        lines = ["k_spec.deopts += 1", f"k_bl[{head.start}] = None"]
-        touches = any(m.touches for m in head.members)
-        if touches:
-            lines.append("sr = cpu.sreg")
-        for member in head.members:
-            lines += member.effect
-            lines += member.flags
-        if touches:
-            lines.append("cpu.sreg = sr")
+        slot = "k_ex" if self.step else "k_bl"
+        lines = ["k_spec.deopts += 1", f"{slot}[{head.start}] = None"]
+        if head.count:
+            lines += [f"for _ in range({head.count}):", "    cpu.step()"]
         if head.kind == "trap":
-            if head.cost:
-                lines.append(f"cpu.cycles += {head.cost}")
-            if head.count:
-                lines.append(f"cpu.instret += {head.count}")
-            lines += [self._slow_call(head.facts), "cpu.instret += 1"]
-        elif head.kind == "brcond":
-            flags = "sr" if touches else "cpu.sreg"
-            mask = 1 << head.bit
-            test = f"{flags} & {mask}" if head.branch_if_set \
-                else f"not ({flags} & {mask})"
-            lines += [f"if {test}:",
-                      f"    cpu.pc = {head.taken}",
-                      f"    cpu.cycles += {head.cost + 2}",
-                      "else:",
-                      f"    cpu.pc = {head.fall}",
-                      f"    cpu.cycles += {head.cost + 1}",
-                      f"cpu.instret += {head.count + 1}"]
-        else:  # jmp
-            lines += [f"cpu.pc = {head.target}",
-                      f"cpu.cycles += {head.cost + head.jcycles}",
-                      f"cpu.instret += {head.count + 1}"]
-        lines.append("return")
-        return lines
+            lines += self._then([self._slow_call(head.facts)])
+        else:
+            lines.append("cpu.step()")
+        return lines + ["return"]
 
     # -- whole-closure assembly ---------------------------------------------------
 
     def source(self) -> str:
-        body: List[str] = []
-        if self.has_trap:
-            body += self._guard_lines()
-        if self.uses_sr:
-            body.append("sr = cpu.sreg")
-        body += ["cy = cpu.cycles",
-                 "n = cpu.instret",
-                 # No event can be scheduled mid-trace, so next_due is
-                 # trace-invariant; -1.0 forces an exit at the first
-                 # seam when until() must be evaluated per dispatch.
-                 "da = -1.0 if cpu._run_until is not None "
-                 "else cpu.events.next_due",
-                 "mi = cpu._run_mi",
-                 "mc = cpu._run_mc"]
-        if self.has_branch_trap:
-            body.append("tb = k_task.branch_counter")
-        if self.has_trap:
-            body.append("kc = 0")
-        for i in range(len(self.kind_order)):
-            body.append(f"c{i} = 0")
-        body.append("while True:")
         inner: List[str] = []
         pending = None
         for i, node in enumerate(self.nodes):
@@ -1268,5 +1311,45 @@ class _Emitter:
             mats = pending[0] if pending else ()
             inner += self._flush(self.tail[1], "plain", mats=mats)
         # ("end",): the last node resolved every arm internally.
-        body += _ind(inner)
+        # Shadow state no line updates is neither loaded nor written
+        # back (a member-less I/O node updates none).
+        updated = set(_SHADOW_UPDATE.findall("\n".join(inner)))
+        if self.limits:
+            updated |= {"cy", "n"}  # seams and strips read them
+        writeback = {"cpu.cycles = cy": "cy", "cpu.instret = n": "n",
+                     "k_stats.kernel_cycles += kc": "kc",
+                     "k_task.kernel_cycles += kc": "kc"}
+        writeback.update((line, f"c{i}")
+                         for i, line in enumerate(self.settles))
+        dead = {line for line, name in writeback.items()
+                if name not in updated}
+        if dead:
+            inner = [line for line in inner if line.strip() not in dead]
+        body: List[str] = []
+        if self.has_trap:
+            body += self._guard_lines()
+        if self.uses_sr:
+            body.append("sr = cpu.sreg")
+        if "cy" in updated:
+            body.append("cy = cpu.cycles")
+        if "n" in updated:
+            body.append("n = cpu.instret")
+        if self.limits:
+            # No event can be scheduled mid-trace, so next_due is
+            # trace-invariant; -1.0 forces an exit at the first seam
+            # when until() must be evaluated per dispatch.
+            body += ["da = -1.0 if cpu._run_until is not None "
+                     "else cpu.events.next_due",
+                     "mi = cpu._run_mi",
+                     "mc = cpu._run_mc"]
+        if self.has_branch_trap:
+            body.append("tb = k_task.branch_counter")
+        if "kc" in updated:
+            body.append("kc = 0")
+        body += [f"c{i} = 0" for i in range(len(self.kind_order))
+                 if f"c{i}" in updated]
+        if self.loops:
+            body.append("while True:")
+            inner = _ind(inner)
+        body += inner
         return "def _blk():\n" + "\n".join(_ind(body))

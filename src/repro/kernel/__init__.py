@@ -8,13 +8,13 @@ software-trap preemptive scheduling, and versatile stack management
 
 from .config import KernelConfig
 from .kernel import SenSmartKernel
-from .node import SensorNode
+from .node import SensorNode, state_digest
 from .regions import MemoryRegion, RegionTable
 from .task import Task, TaskState
 from .termination import RESTART_POLICIES, TerminationReason
 
 __all__ = [
-    "KernelConfig", "SenSmartKernel", "SensorNode",
+    "KernelConfig", "SenSmartKernel", "SensorNode", "state_digest",
     "MemoryRegion", "RegionTable", "Task", "TaskState",
     "TerminationReason", "RESTART_POLICIES",
 ]

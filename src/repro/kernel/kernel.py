@@ -102,26 +102,27 @@ class SenSmartKernel:
         self.handlers = TrapHandlers(self)
         self.specializer = None
         thunk_factory = self.handlers.thunk_factory
-        inline_factory = None
         if self.config.specialize:
             from .specialize import TrapSpecializer
             self.specializer = TrapSpecializer(self)
             thunk_factory = self.specializer.thunk_factory
-            inline_factory = self.specializer.inline_source
         self.cpu.set_trap_region(image.trap_region[0], image.trap_region[1],
                                  self.handlers.dispatch,
-                                 thunk_factory=thunk_factory,
-                                 inline_factory=inline_factory)
+                                 thunk_factory=thunk_factory)
+        # Trap blocks compile through the trace compiler: chained into
+        # multi-block traces under ``trace``, one-node traces otherwise.
         self.tracer = None
-        if self.config.trace and self.config.fuse:
+        if self.config.fuse and \
+                (self.config.trace or self.config.specialize):
             import os
 
             from ..avr.trace import TraceCompiler, TraceStore
             store_path = self.config.trace_store or \
                 os.environ.get("SENSMART_TRACE_STORE")
             store = TraceStore(store_path) if store_path else None
+            kwargs = {} if self.config.trace else {"max_blocks": 1}
             self.tracer = TraceCompiler(self.cpu, self.specializer,
-                                        store=store)
+                                        store=store, **kwargs)
             self.cpu.set_tracer(self.tracer)
 
         self.tasks: Dict[int, Task] = {}
@@ -183,8 +184,8 @@ class SenSmartKernel:
     def _on_region_change(self, task_id: int) -> None:
         """A task's region geometry moved: retire its specialized code.
 
-        Trap code compiled by :class:`~.specialize.TrapSpecializer` bakes
-        the region constants in and guards on this epoch, so bumping it
+        Trap code compiled from :class:`~.specialize.TrapSpecializer`
+        facts bakes the region constants in and guards on this epoch, so bumping it
         deoptimizes every stale closure on its next execution.
         """
         task = self.tasks.get(task_id)

@@ -36,6 +36,29 @@ BOOT_DELAY_CYCLES = 60_000
 MAX_PANIC_REBOOTS = 8
 
 
+def state_digest(node: "SensorNode") -> tuple:
+    """The architectural-state oracle that execution tiers must agree on.
+
+    Registers, PC, SP, SREG, cycles, instret, the full SRAM image, trap
+    counts by kind, kernel cycles, context switches, scheduler checks,
+    terminations, per-task accounting, the radio's TX sequence and
+    undrained RX queue, and the reboot count.  Two runs agree only if
+    the node's history was bit-identical; tests and benchmarks compare
+    this tuple.  (``report.sim_digest`` and ``fleet.shard.node_digest``
+    are content keys pinned by their schemas and goldens.)
+    """
+    kernel, cpu, radio = node.kernel, node.cpu, node.radio
+    stats = kernel.stats
+    return (bytes(cpu.r), cpu.pc, cpu.sp, cpu.sreg, cpu.cycles,
+            cpu.instret, bytes(cpu.mem.data), dict(stats.trap_counts),
+            stats.kernel_cycles, stats.context_switches,
+            stats.scheduler_checks, tuple(stats.terminations),
+            tuple((task.task_id, task.kernel_cycles, task.min_sp_seen,
+                   task.max_stack_used, task.branch_counter,
+                   task.exit_reason)
+                  for task in kernel.tasks.values()),
+            radio.tx_seq, bytes(radio.rx_queue), node.reboots)
+
 class SensorNode:
     """A simulated MICA2-class node running SenSmart."""
 

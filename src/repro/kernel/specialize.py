@@ -1,84 +1,70 @@
-"""Task-specialized trap compilation: the trap JIT.
+"""Task-specialized trap compilation: the facts behind the trap JIT.
 
 The generic trap path (:class:`~.traps.TrapHandlers`) re-derives, on
 *every* access, facts that are constant for as long as a task's region
 geometry stands still: the heap displacement ``p_l - ram_start``, the
 stack displacement ``p_u - M``, the region bounds, the stack-check
-floor.  This module compiles those constants into the trap code itself:
-given a patched site, it emits Python source with the displacements
-baked in as integer literals, so an in-region heap store becomes::
+floor.  Compiled trap code bakes those constants in as integer
+literals, so an in-region heap store becomes::
 
     mem[ta + 1843] = r[24]
 
 instead of a ``dispatch`` -> handler -> ``region_of_current`` ->
 ``to_physical`` call chain.
 
-Two consumers share one source generator:
-
-* :meth:`TrapSpecializer.thunk_factory` wraps the source in a
-  standalone ``def`` — the CPU's per-site decode cache uses it for
-  stepwise execution and the exact-stop fallback;
-* :meth:`TrapSpecializer.inline_source` hands the raw statement list to
-  the superblock compiler (``AvrCpu._fuse_block``), which splices it in
-  as the block terminator, eliminating even the thunk call.
+This module owns the *facts* (:meth:`TrapSpecializer.trace_facts`: kind,
+params, owner task, region geometry, epoch, elision claim and the
+``spec_key`` of every baked constant); :mod:`repro.avr.trace` owns the
+one code generator.  A trap-terminated block compiles as a (possibly
+one-node) trace, and :meth:`TrapSpecializer.thunk_factory` emits the
+same fast path as the stepwise thunk the CPU's per-site decode cache
+uses for stepwise execution and the exact-stop fallback.
 
 Correctness rests on three facts:
 
 1. **Sites are task-private.**  Every task's naturalized code occupies
    its own flash range and indirect branches are bounds-checked to the
    owning program, so a given site only ever executes as one task.  The
-   specialization therefore guards on ``kernel.current is task``.
+   compiled code therefore guards on ``kernel.current is task``.
 2. **Region constants are epoch-versioned.**  Whatever moves a region
    (stack relocation, a released neighbour's grant, loader compaction)
-   bumps the owning task's ``region_epoch``; specialized code checks it
+   bumps the owning task's ``region_epoch``; compiled code checks it
    on entry and deoptimizes — invalidating its own cache slot so the
-   next decode re-specializes against the new constants — when stale.
+   next decode recompiles against the new constants — when stale.
 3. **Everything else falls back.**  Accesses that leave the region
    (task-kill), IO-class pointer targets, relocating pushes, SP
-   get/set, and every kind this module does not specialize run the
-   generic ``dispatch`` path, bit-identical to a non-specializing
-   kernel (``tests/test_trapspec.py`` proves it differentially).
-
-The generated source's ``spec_key`` — every runtime constant baked into
-it — doubles as the third component of the cross-node superblock cache
-key (see :class:`repro.avr.cpu.SuperblockCache`).
+   get/set, and every kind without a fast path run the generic
+   ``dispatch`` path, bit-identical to a non-specializing kernel
+   (``tests/test_trapspec.py`` proves it differentially).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..rewriter.classify import PatchKind
-from . import costs
-
-#: LD/ST pointer-mode base registers (mode stripped of +/-).
-_PTR_BASE = {"X": 26, "Y": 28, "Z": 30}
-
-#: Shared statement: per-execution trap count, identical to dispatch's.
-_COUNT = "k_counts[k_kind] = k_counts.get(k_kind, 0) + 1"
 
 
 @dataclass
 class SpecializerStats:
     """Observability for tests and benchmarks."""
 
-    compiled: int = 0   # specialized thunks / inline terminators built
+    compiled: int = 0   # stepwise thunks and trace-chained sites built
     deopts: int = 0     # epoch/task guard failures (stale code retired)
-    declined: int = 0   # sites left on the generic path
+    declined: int = 0   # thunks left on the generic path
 
 
 @dataclass
 class TraceFacts:
-    """Everything the trace compiler needs to chain one patched site.
+    """Everything the trace compiler needs to compile one patched site.
 
     A read-only snapshot of the specialization inputs for *site* at
     compile time: the trampoline kind and params, the owning task, its
     region (None for region-free kinds) and region epoch, the kernel
-    config, the namespace bindings the emitted code expects, and the
-    same ``spec_key`` :meth:`TrapSpecializer.inline_source` would bake
-    — so a trace's cache key composes per-site keys identically to the
-    superblock cache's.
+    config, the namespace bindings the emitted code expects, and a
+    ``spec_key`` of every runtime constant the emitted code bakes in —
+    a trace's cache key composes its sites' keys.
     """
 
     site: int
@@ -100,139 +86,39 @@ class TraceFacts:
 
 
 class TrapSpecializer:
-    """Compiles per-site trap code against a task's region constants."""
+    """Derives per-site trap facts against a task's region constants."""
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.stats = SpecializerStats()
-        self._gen: Dict[PatchKind, Callable] = {
-            PatchKind.MEM_INDIRECT: self._mem_indirect,
-            PatchKind.MEM_DIRECT: self._mem_direct,
-            PatchKind.STACK_PUSH: self._stack_push,
-            PatchKind.STACK_POP: self._stack_pop,
-            PatchKind.CALL_DIRECT: self._call_direct,
-            PatchKind.BRANCH_BACKWARD: self._branch_backward,
-        }
 
     # -- entry points ------------------------------------------------------------
 
     def thunk_factory(self, cpu, site: int, target: int, is_call: bool):
         """Drop-in for ``TrapHandlers.thunk_factory``.
 
-        Returns a specialized standalone thunk for the site when the
-        kind/geometry allows, else the generic pre-bound thunk.
+        Returns the site's stepwise thunk compiled by the trace emitter
+        when the kind/geometry has a fast path, else the generic
+        pre-bound thunk.
         """
-        result = self.inline_source(cpu, site, target, is_call,
-                                    invalidate=f"k_ex[{site}] = None")
-        if result is None:
+        from ..avr.trace import compile_trap_thunk
+        facts = self.trace_facts(cpu, site, target, is_call)
+        thunk = compile_trap_thunk(cpu, facts) if facts is not None \
+            else None
+        if thunk is None:
+            self.stats.declined += 1
             return self.kernel.handlers.thunk_factory(cpu, site, target,
                                                       is_call)
-        lines, bindings, _, _ = result
-        ns = dict(bindings)
-        ns["cpu"] = cpu
-        ns["r"] = cpu.r
-        ns["mem"] = cpu.mem.data
-        source = "def _spec():\n" + "\n".join(
-            "    " + line for line in lines)
-        exec(compile(source, f"<trapspec@{site:#06x}>", "exec"), ns)
         self.stats.compiled += 1
-        return ns["_spec"]
-
-    def inline_source(self, cpu, site: int, target: int, is_call: bool,
-                      invalidate: str, block=None):
-        """Specialized source for a patched site, or None.
-
-        Returns ``(lines, bindings, spec_key, full_body)``: flat
-        statements (with relative indentation), the names they expect in
-        the namespace, a hashable key of every runtime constant baked
-        into them, and whether the statements form a complete closure
-        body (the caller must then not emit its own member/terminator
-        code).  *invalidate* is the statement the guard-failure branch
-        runs to retire the caller's cache slot (``k_ex[site] = None``
-        for thunks, ``k_bl[pc] = None`` for fused blocks).
-
-        *block*, when given as ``(start, member_lines, cost, count,
-        uses_sreg)``, describes the fused block the trap terminates;
-        a backward branch whose target is the block start then compiles
-        to a self-looping full body (see :meth:`_branch_backward_loop`).
-        The returned ``spec_key`` never depends on *block* — the block
-        shape is determined by ``(flash, pc)``, which already keys the
-        superblock cache group.
-        """
-        kernel = self.kernel
-        if site < 0:
-            return None
-        trampoline = kernel.trampolines.get(target)
-        if trampoline is None:
-            return None
-        gen = self._gen.get(trampoline.kind)
-        if gen is None:
-            return None
-        task = self._owner(site)
-        if task is None:
-            return None
-        needs_region = trampoline.kind is not PatchKind.BRANCH_BACKWARD
-        region = kernel.regions.maybe_by_task(task.task_id)
-        if needs_region and region is None:
-            return None
-        slow = f"k_slow(cpu, {site}, {target}, {is_call})"
-        bindings = {
-            "k_kernel": kernel,
-            "k_task": task,
-            "k_counts": kernel.stats.trap_counts,
-            "k_kind": trampoline.kind,
-            "k_stats": kernel.stats,
-            "k_spec": self.stats,
-            "k_slow": kernel.handlers.dispatch,
-            "k_sched": kernel.scheduler_tick,
-            "k_ioread": kernel.io_read,
-            "k_iowrite": kernel.io_write,
-            "k_ex": cpu._exec,
-            "k_bl": cpu._blocks,
-        }
-        config = kernel.config
-        if not needs_region:
-            spec_key = (trampoline.kind.name, trampoline.params,
-                        config.branch_trap_period)
-            if block is not None:
-                loop = self._branch_backward_loop(
-                    trampoline.params, site, block, invalidate, slow)
-                if loop is not None:
-                    return loop, bindings, spec_key, True
-        claim = self._claim(site, trampoline.kind)
-        body = gen(trampoline.params, site, region, slow, claim)
-        if body is None:
-            self.stats.declined += 1
-            return None
-
-        if needs_region:
-            guard = (f"if k_task is not k_kernel.current "
-                     f"or k_task.region_epoch != {task.region_epoch}:")
-            spec_key = (trampoline.kind.name, trampoline.params,
-                        task.region_epoch, region.p_l, region.p_h,
-                        region.p_u, config.ram_start, config.memory_size,
-                        config.stack_margin)
-            if claim is not None:
-                spec_key = spec_key + (("elide", claim),)
-        else:
-            guard = "if k_task is not k_kernel.current:"
-        lines = [guard,
-                 "    k_spec.deopts += 1",
-                 f"    {invalidate}",
-                 f"    {slow}",
-                 "else:"]
-        lines.extend("    " + line for line in body)
-        return lines, bindings, spec_key, False
+        return thunk
 
     def trace_facts(self, cpu, site: int, target: int,
                     is_call: bool) -> Optional[TraceFacts]:
-        """Specialization facts for chaining *site* into a trace.
+        """Specialization facts for compiling *site*, or None when it is
+        not a patched site owned by a live task with a region.
 
-        Mirrors :meth:`inline_source`'s decline conditions exactly —
-        a site this returns ``None`` for must end the trace, so every
-        chained trap is one the specializer could also have compiled
-        stand-alone.  Emission itself lives in
-        :mod:`repro.avr.trace`; this keeps one owner of the facts
+        Emission lives in :mod:`repro.avr.trace`, which declines kinds
+        it has no fast path for; this keeps one owner of the facts
         (kind, params, owner task, region geometry, epoch, spec key).
         """
         kernel = self.kernel
@@ -240,8 +126,6 @@ class TrapSpecializer:
             return None
         trampoline = kernel.trampolines.get(target)
         if trampoline is None:
-            return None
-        if trampoline.kind not in self._gen:
             return None
         task = self._owner(site)
         if task is None:
@@ -272,6 +156,8 @@ class TrapSpecializer:
             "k_spec": self.stats,
             "k_slow": kernel.handlers.dispatch,
             "k_sched": kernel.scheduler_tick,
+            "k_ioread": kernel.io_read,
+            "k_iowrite": kernel.io_write,
             "k_ex": cpu._exec,
             "k_bl": cpu._blocks,
         }
@@ -301,292 +187,3 @@ class TrapSpecializer:
             if task.alive and task.owns_code(site):
                 return task
         return None
-
-    @staticmethod
-    def _charge(cycles: int) -> List[str]:
-        """Inlined ``kernel.charge`` (current task known non-None)."""
-        return [f"cpu.cycles += {cycles}",
-                f"k_stats.kernel_cycles += {cycles}",
-                f"k_task.kernel_cycles += {cycles}"]
-
-    # -- per-kind generators -----------------------------------------------------
-    #
-    # Each returns the fast-path statement list (the guard's else arm)
-    # or None to decline.  The accounting mirrors traps.py exactly:
-    # counts bump only on the committed fast path (slow-path arms call
-    # dispatch, which counts itself), charges land after the memory
-    # effect, and the high-water updates replicate ensure_stack_room.
-
-    def _mem_indirect(self, params, site: int, region, slow: str,
-                       claim=None):
-        mnemonic, reg, mode, grouped = params
-        resume = site + 2
-        config = self.kernel.config
-        rs = config.ram_start
-        m = config.memory_size
-        hh = rs + region.heap_size          # heap top, logical
-        dh = region.p_l - rs                # heap displacement
-        ds = region.p_u - m                 # stack displacement (<= 0)
-        if mnemonic in ("LD", "ST"):
-            base = _PTR_BASE[mode.strip("+-")]
-            addr = [f"ta = r[{base}] | (r[{base + 1}] << 8)"]
-            if mode.startswith("-"):
-                addr.append("ta = (ta - 1) & 0xFFFF")
-            if mode.endswith("+"):
-                post = ["tu = (ta + 1) & 0xFFFF",
-                        f"r[{base}] = tu & 0xFF",
-                        f"r[{base + 1}] = tu >> 8"]
-            elif mode.startswith("-"):
-                post = [f"r[{base}] = ta & 0xFF",
-                        f"r[{base + 1}] = ta >> 8"]
-            else:
-                post = []
-            store = mnemonic == "ST"
-        else:  # LDD / STD
-            ptr, displacement = mode
-            base = _PTR_BASE[ptr]
-            addr = [f"ta = ((r[{base}] | (r[{base + 1}] << 8))"
-                    f" + {displacement}) & 0xFFFF"]
-            post = []
-            store = mnemonic == "STD"
-        overhead_heap = costs.MEM_GROUPED_FOLLOWER if grouped \
-            else costs.MEM_INDIRECT_HEAP
-        overhead_stack = costs.MEM_GROUPED_FOLLOWER if grouped \
-            else costs.MEM_INDIRECT_STACK_FRAME
-        eff_heap = f"mem[ta + {dh}] = r[{reg}]" if store \
-            else f"r[{reg}] = mem[ta + {dh}]"
-        eff_stack = f"mem[tp] = r[{reg}]" if store \
-            else f"r[{reg}] = mem[tp]"
-        arm_heap = [_COUNT, eff_heap] + self._charge(2 + overhead_heap) \
-            + post + [f"cpu.pc = {resume}"]
-        arm_stack = [_COUNT, eff_stack] + self._charge(2 + overhead_stack) \
-            + post + [f"cpu.pc = {resume}"]
-        if claim == "heap":
-            # Certificate: ta is always inside the logical heap — the
-            # range checks can never fail, so the arm runs unguarded
-            # (same effects, counters and charges, no branches).
-            return addr + arm_heap
-        if claim == "stack":
-            # Certificate: ta is always a live in-stack address.
-            return addr + [f"tp = ta + ({ds})"] + arm_stack
-        body = addr
-        body.append(f"if {rs} <= ta < {hh}:")
-        body.extend("    " + line for line in arm_heap)
-        body.append(f"elif {hh} <= ta < {m}:")
-        body.append(f"    tp = ta + ({ds})")
-        body.append(f"    if tp >= {region.p_h}:")
-        body.extend("        " + line for line in arm_stack)
-        body.append("    else:")
-        body.append(f"        {slow}")  # out of region: fault path
-        body.append("else:")
-        body.append(f"    {slow}")      # IO class or out of space
-        return body
-
-    def _mem_direct(self, params, site: int, region, slow: str,
-                     claim=None):
-        mnemonic, reg, logical = params
-        resume = site + 2
-        config = self.kernel.config
-        rs = config.ram_start
-        store = mnemonic == "STS"
-        if logical < rs:
-            effect = f"k_iowrite({logical}, r[{reg}])" if store \
-                else f"r[{reg}] = k_ioread({logical})"
-            cycles = 2 + costs.MEM_DIRECT_IO
-        elif logical < rs + region.heap_size:
-            physical = region.p_l + (logical - rs)
-            effect = f"mem[{physical}] = r[{reg}]" if store \
-                else f"r[{reg}] = mem[{physical}]"
-            cycles = 2 + costs.MEM_DIRECT_OTHER
-        elif logical < config.memory_size:
-            physical = logical + (region.p_u - config.memory_size)
-            if not region.p_h <= physical < region.p_u:
-                return None  # faults at this geometry: stay generic
-            effect = f"mem[{physical}] = r[{reg}]" if store \
-                else f"r[{reg}] = mem[{physical}]"
-            cycles = 2 + costs.MEM_DIRECT_OTHER
-        else:
-            return None      # out of logical space: always a fault
-        return [_COUNT, effect] + self._charge(cycles) \
-            + [f"cpu.pc = {resume}"]
-
-    def _stack_push(self, params, site: int, region, slow: str,
-                     claim=None):
-        (reg,) = params
-        resume = site + 2
-        floor = region.p_h + self.kernel.config.stack_margin
-        fast = [_COUNT,
-                "if tsp < k_task.min_sp_seen: k_task.min_sp_seen = tsp",
-                f"td = {region.p_u} - tsp",
-                "if td > k_task.max_stack_used: "
-                "k_task.max_stack_used = td",
-                f"mem[tsp] = r[{reg}]",
-                "cpu.sp = tsp - 1"] \
-            + self._charge(2 + costs.STACK_OP) + [f"cpu.pc = {resume}"]
-        body = ["tsp = cpu.sp", f"if tsp >= {floor}:"]
-        body.extend("    " + line for line in fast)
-        body.append("else:")
-        body.append(f"    {slow}")  # needs relocation or overflows
-        return body
-
-    def _stack_pop(self, params, site: int, region, slow: str,
-                    claim=None):
-        (reg,) = params
-        resume = site + 2
-        fast = [_COUNT,
-                "cpu.sp = tsp",
-                f"r[{reg}] = mem[tsp]"] \
-            + self._charge(2 + costs.STACK_OP) + [f"cpu.pc = {resume}"]
-        if claim == "pop":
-            # Certificate: stack depth >= 1 at this POP for every
-            # reachable state — it cannot underflow.
-            return ["tsp = cpu.sp + 1"] + fast
-        body = ["tsp = cpu.sp + 1", f"if tsp < {region.p_u}:"]
-        body.extend("    " + line for line in fast)
-        body.append("else:")
-        body.append(f"    {slow}")  # POP from an empty stack: fault
-        return body
-
-    def _call_direct(self, params, site: int, region, slow: str,
-                      claim=None):
-        (nat_target,) = params
-        resume = site + 2
-        floor = region.p_h + self.kernel.config.stack_margin
-        fast = [_COUNT,
-                "if tsp < k_task.min_sp_seen: k_task.min_sp_seen = tsp",
-                f"td = {region.p_u + 1} - tsp",
-                "if td > k_task.max_stack_used: "
-                "k_task.max_stack_used = td",
-                f"mem[tsp] = {resume & 0xFF}",
-                f"mem[tsp - 1] = {(resume >> 8) & 0xFF}",
-                "cpu.sp = tsp - 2",
-                f"cpu.pc = {nat_target}"] \
-            + self._charge(4 + costs.CALL_TRAMPOLINE)
-        body = ["tsp = cpu.sp", f"if tsp - 1 >= {floor}:"]
-        body.extend("    " + line for line in fast)
-        body.append("else:")
-        body.append(f"    {slow}")  # needs relocation or overflows
-        return body
-
-    def _branch_backward_loop(self, params, site: int, block,
-                              invalidate: str, slow: str):
-        """Complete closure body for a self-looping backward-branch trap.
-
-        When the fused block's trap terminator branches back to the
-        block's own start, the whole loop iterates *inside* the closure:
-        cycles, instret, SREG, the trap count and the branch counter all
-        live in locals until exit, so each iteration pays neither the
-        dispatch overhead nor the attribute traffic of the generic trap
-        path.  Exit conditions replicate ``AvrCpu._self_loop_body`` (the
-        run-loop's per-dispatch event/limit/until checks) plus the
-        branch-counter reaching zero — the loop flushes all state before
-        ``scheduler_tick`` runs, so a preemption observes exactly what
-        stepwise execution would.  The task/guard check runs once at
-        entry: nothing inside the fast loop can retire the task or move
-        a region.  Returns None when the branch does not target the
-        block start.
-        """
-        bit, branch_if_set, nat_target = params
-        start, members, cost, count, uses_sreg = block
-        if nat_target != start:
-            return None
-        resume = site + 2
-        inline = costs.BRANCH_COUNTER_INLINE
-        period = self.kernel.config.branch_trap_period
-        # Guard failure replicates the generic fused block verbatim:
-        # members, member accounting, then the slow trap dispatch.
-        deopt = ["k_spec.deopts += 1", invalidate]
-        if uses_sreg:
-            deopt.append("sr = cpu.sreg")
-        deopt.extend(members)
-        if uses_sreg:
-            deopt.append("cpu.sreg = sr")
-        if cost:
-            deopt.append(f"cpu.cycles += {cost}")
-        if count:
-            deopt.append(f"cpu.instret += {count}")
-        deopt.append(slow)
-        deopt.append("cpu.instret += 1")
-
-        fast = []
-        if uses_sreg:
-            fast.append("sr = cpu.sreg")
-        fast += ["cy = cpu.cycles",
-                 "n = cpu.instret",
-                 "da = -1.0 if cpu._run_until is not None "
-                 "else cpu.events.next_due",
-                 "mi = cpu._run_mi",
-                 "mc = cpu._run_mc",
-                 "tb = k_task.branch_counter",
-                 "it = 0",
-                 "kc = 0",
-                 "while True:"]
-        inner = list(members)
-        inner += ["it += 1",
-                  f"n += {count + 1}",
-                  "tb -= 1"]
-        taken_arm = [f"cy += {cost + 2 + inline}",
-                     f"kc += {2 + inline}",
-                     f"if tb <= 0 or cy >= da or n + {count + 1} > mi "
-                     f"or cy + {cost} >= mc:",
-                     f"    cpu.pc = {start}",
-                     "    break"]
-        if bit is None:  # unconditional backward RJMP/JMP
-            inner += taken_arm
-        else:
-            mask = 1 << bit
-            flags = "sr" if uses_sreg else "cpu.sreg"
-            test = f"{flags} & {mask}" if branch_if_set \
-                else f"not ({flags} & {mask})"
-            inner += ([f"if {test}:"]
-                      + ["    " + line for line in taken_arm]
-                      + ["else:",
-                         f"    cpu.pc = {resume}",
-                         f"    cy += {cost + 1 + inline}",
-                         f"    kc += {1 + inline}",
-                         "    break"])
-        fast += ["    " + line for line in inner]
-        if uses_sreg:
-            fast.append("cpu.sreg = sr")
-        fast += ["cpu.cycles = cy",
-                 "cpu.instret = n",
-                 "k_counts[k_kind] = k_counts.get(k_kind, 0) + it",
-                 "k_stats.kernel_cycles += kc",
-                 "k_task.kernel_cycles += kc",
-                 "if tb <= 0:",
-                 f"    k_task.branch_counter = {period}",
-                 "    k_sched()",
-                 "else:",
-                 "    k_task.branch_counter = tb"]
-
-        body = ["if k_task is not k_kernel.current:"]
-        body += ["    " + line for line in deopt]
-        body.append("else:")
-        body += ["    " + line for line in fast]
-        return body
-
-    def _branch_backward(self, params, site: int, region, slow: str,
-                          claim=None):
-        bit, branch_if_set, nat_target = params
-        resume = site + 2
-        inline = costs.BRANCH_COUNTER_INLINE
-        if bit is None:  # unconditional backward RJMP/JMP
-            body = [_COUNT, f"cpu.pc = {nat_target}"] \
-                + self._charge(2 + inline)
-        else:
-            mask = 1 << bit
-            test = f"cpu.sreg & {mask}" if branch_if_set \
-                else f"not (cpu.sreg & {mask})"
-            body = [_COUNT, f"if {test}:", f"    cpu.pc = {nat_target}"]
-            body.extend("    " + line for line in self._charge(2 + inline))
-            body.append("else:")
-            body.append(f"    cpu.pc = {resume}")
-            body.extend("    " + line for line in self._charge(1 + inline))
-        body.append("tb = k_task.branch_counter - 1")
-        body.append("if tb <= 0:")
-        body.append(f"    k_task.branch_counter = "
-                    f"{self.kernel.config.branch_trap_period}")
-        body.append("    k_sched()")
-        body.append("else:")
-        body.append("    k_task.branch_counter = tb")
-        return body

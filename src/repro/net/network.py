@@ -54,7 +54,6 @@ reproduce exactly.
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -63,10 +62,6 @@ from ..kernel.node import SensorNode
 from ..sim.events import INFINITY
 
 DEFAULT_QUANTUM_CYCLES = 10_000
-
-#: Sentinel distinguishing "not passed" from any user value for the
-#: deprecated ``until_all_finished`` parameter.
-_UNSET = object()
 
 
 @dataclass
@@ -243,8 +238,7 @@ class Network:
 
     # -- execution -----------------------------------------------------------------
 
-    def run(self, max_cycles: int = 100_000_000,
-            until_all_finished=_UNSET) -> None:
+    def run(self, max_cycles: int = 100_000_000) -> None:
         """Event-driven co-simulation: always advance the lagging node.
 
         The unfinished nodes sit in a lazy min-heap keyed by cycle
@@ -256,19 +250,7 @@ class Network:
         lies ahead of it, so every iteration makes progress until all
         nodes finish, park at an external bound, or exhaust
         *max_cycles*.
-
-        .. deprecated:: PR9
-           *until_all_finished* never had an effect here (both settings
-           stop at the same point); passing it now raises a
-           :class:`DeprecationWarning`.  :meth:`run_lockstep` still
-           honors its own flag.
         """
-        if until_all_finished is not _UNSET:
-            warnings.warn(
-                "Network.run(until_all_finished=...) is deprecated and "
-                "ignored: run() always stops once every node is "
-                "finished, parked, or at max_cycles",
-                DeprecationWarning, stacklevel=2)
         self._ferry()
         bounds = self.ext_bounds
         heap: List[Tuple[int, int, str]] = []
@@ -379,9 +361,9 @@ class Network:
         between passes.  Byte arrivals are still inbox-scheduled on the
         receivers' queues, so delivery is never early — but an idle
         node is visited once per quantum, which is exactly the overhead
-        the event-driven :meth:`run` eliminates.  Unlike :meth:`run`,
-        the *until_all_finished* flag is honored here: ``False`` stops
-        as soon as a pass makes no progress even if nodes are alive.
+        the event-driven :meth:`run` eliminates.  *until_all_finished*
+        ``False`` stops as soon as a pass makes no progress even if
+        nodes are alive.
         """
         while True:
             active = [n for n in self.nodes.values() if not n.finished]

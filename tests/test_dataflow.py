@@ -25,9 +25,10 @@ from repro.analysis.static.dataflow import (DataflowAnalysis,
                                             verify_certificate)
 from repro.analysis.static.values import AbsState, Interval, Word
 from repro.avr.encoding import decode
+from repro.avr.trace import trap_thunk_source
 from repro.experiments.extra_static import _workload_sources
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernel import SensorNode
+from repro.kernel import SensorNode, state_digest
 from repro.toolchain import compile_source, link_image
 
 # The bench_dataflow TRAP_MIX shape, sized for tests: every access is
@@ -64,20 +65,6 @@ inner:
 helper:
     ret
 """
-
-
-def _digest(node):
-    """Complete observable state: CPU, SRAM, kernel accounting."""
-    kernel, cpu = node.kernel, node.cpu
-    return (bytes(cpu.r), cpu.pc, cpu.sp, cpu.sreg, cpu.cycles,
-            cpu.instret, bytes(cpu.mem.data),
-            dict(kernel.stats.trap_counts), kernel.stats.kernel_cycles,
-            kernel.stats.context_switches, kernel.stats.scheduler_checks,
-            tuple(kernel.stats.terminations),
-            tuple((task.task_id, task.kernel_cycles, task.min_sp_seen,
-                   task.max_stack_used, task.branch_counter,
-                   task.exit_reason)
-                  for task in kernel.tasks.values()))
 
 
 def _analysis(source: str, name: str = "t") -> DataflowAnalysis:
@@ -336,21 +323,17 @@ def test_elided_sources_drop_the_guards():
         offset = site - natural.base
         jmp = decode(natural.words[offset], natural.words[offset + 1],
                      site)
-        result = kernel.specializer.inline_source(
-            node.cpu, site, jmp.operands[0], False,
-            invalidate=f"k_ex[{site}] = None")
-        assert result is not None
-        lines, _, spec_key, _ = result
-        assert ("elide", claim) in spec_key
-        body = "\n".join(lines)
+        facts = kernel.specializer.trace_facts(
+            node.cpu, site, jmp.operands[0], False)
+        assert facts is not None and facts.elide == claim
+        assert ("elide", claim) in facts.spec_key
+        body = trap_thunk_source(facts)
+        assert body is not None
         if claim in ("heap", "stack"):
             assert "elif" not in body          # no range-check chain
             assert "<= ta <" not in body
         else:
             assert "if tsp <" not in body      # no underflow check
-        facts = kernel.specializer.trace_facts(
-            node.cpu, site, jmp.operands[0], False)
-        assert facts is not None and facts.elide == claim
 
 
 def test_default_config_keeps_guards():
@@ -365,13 +348,12 @@ def test_default_config_keeps_guards():
     natural = kernel.image.tasks[0].natural
     offset = site - natural.base
     jmp = decode(natural.words[offset], natural.words[offset + 1], site)
-    lines, _, spec_key, _ = kernel.specializer.inline_source(
-        node.cpu, site, jmp.operands[0], False,
-        invalidate=f"k_ex[{site}] = None")
-    body = "\n".join(lines)
+    facts = kernel.specializer.trace_facts(node.cpu, site,
+                                           jmp.operands[0], False)
+    body = trap_thunk_source(facts)
     assert "elif" in body and "<= ta <" in body
     assert not any(isinstance(part, tuple) and part[0] == "elide"
-                   for part in spec_key)
+                   for part in facts.spec_key)
 
 
 @pytest.mark.parametrize("workload", ["table1", "table2", "kernelbench"])
@@ -385,9 +367,9 @@ def test_elision_is_bit_identical_across_tiers(workload):
         {"elide": True, "fuse": False, "specialize": False,
          "trace": False},                                   # stepwise
     ]
-    want = _digest(baseline)
+    want = state_digest(baseline)
     for overrides in tiers:
-        assert _digest(_run_node(sources, **overrides)) == want, overrides
+        assert state_digest(_run_node(sources, **overrides)) == want, overrides
 
 
 def test_elision_is_bit_identical_under_null_fault_plan():
@@ -395,4 +377,4 @@ def test_elision_is_bit_identical_under_null_fault_plan():
     sources = _workload_sources("table2", quick=True)
     guarded = _run_node(sources, elide=False, plan=plan)
     elided = _run_node(sources, elide=True, plan=plan)
-    assert _digest(elided) == _digest(guarded)
+    assert state_digest(elided) == state_digest(guarded)

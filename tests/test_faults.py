@@ -20,37 +20,26 @@ import pytest
 from repro.experiments import extra_faults
 from repro.experiments.extra_static import _workload_sources
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernel import (KernelConfig, SensorNode, TerminationReason)
+from repro.kernel import (KernelConfig, SensorNode, TerminationReason,
+                          state_digest)
 from repro.kernel.task import TaskState
 from repro.net.network import Link, Network
-
-
-def _digest(node):
-    """Complete observable state: CPU, SRAM, kernel accounting."""
-    kernel, cpu = node.kernel, node.cpu
-    return (bytes(cpu.r), cpu.pc, cpu.sp, cpu.sreg, cpu.cycles,
-            cpu.instret, bytes(cpu.mem.data),
-            dict(kernel.stats.trap_counts), kernel.stats.kernel_cycles,
-            kernel.stats.context_switches,
-            kernel.stats.scheduler_checks,
-            tuple(kernel.stats.terminations),
-            tuple((task.task_id, task.kernel_cycles, task.min_sp_seen,
-                   task.max_stack_used, task.branch_counter,
-                   task.exit_reason)
-                  for task in kernel.tasks.values()))
 
 
 # -- null plan: attached-but-empty injector leaves no trace --------------------
 
 @pytest.mark.parametrize("workload", ["table1", "table2", "kernelbench"])
-@pytest.mark.parametrize("fuse,specialize",
-                         [(True, True), (True, False), (False, False)])
-def test_null_plan_is_bit_identical(workload, fuse, specialize):
+@pytest.mark.parametrize("fuse,specialize,trace",
+                         [(True, True, False), (True, False, False),
+                          (False, False, False), (True, True, True)],
+                         ids=["True-True", "True-False", "False-False",
+                              "traced"])
+def test_null_plan_is_bit_identical(workload, fuse, specialize, trace):
     sources = _workload_sources(workload, quick=True)
 
     def run(attach):
         node = SensorNode.from_sources(sources, fuse=fuse,
-                                       specialize=specialize,
+                                       specialize=specialize, trace=trace,
                                        block_cache=False)
         if attach:
             plan = FaultPlan(seed=0xDEAD, horizon_cycles=10_000_000)
@@ -59,7 +48,7 @@ def test_null_plan_is_bit_identical(workload, fuse, specialize):
         assert node.finished
         return node
 
-    assert _digest(run(attach=False)) == _digest(run(attach=True))
+    assert state_digest(run(attach=False)) == state_digest(run(attach=True))
 
 
 # -- link loss stream: exact drop positions, pinned ----------------------------
@@ -299,7 +288,7 @@ def test_sram_flip_under_specialized_superblock_deopts():
     run must stay bit-identical with generic dispatch."""
     def run(specialize):
         node = SensorNode.from_sources([("spin", _SPIN_WITH_STACK)],
-                                       specialize=specialize,
+                                       specialize=specialize, trace=False,
                                        block_cache=False)
         plan = FaultPlan(seed=0xD15E, horizon_cycles=1)
         injector = FaultInjector(plan)
@@ -313,7 +302,7 @@ def test_sram_flip_under_specialized_superblock_deopts():
     stats = specialized.kernel.specializer.stats
     assert stats.compiled > 0
     assert stats.deopts > 0
-    assert _digest(specialized) == _digest(run(specialize=False))
+    assert state_digest(specialized) == state_digest(run(specialize=False))
 
 
 # -- campaigns -----------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.errors import ReproError
@@ -193,19 +191,6 @@ def test_heap_scheduler_matches_scan(build):
     assert heap_net.stats() == scan_net.stats()
     assert [link.arrival_cycles for link in heap_net.links] == \
         [link.arrival_cycles for link in scan_net.links]
-
-
-def test_until_all_finished_deprecated():
-    net = Network()
-    net.add_node("solo", SensorNode.from_sources([("sender", SENDER)]))
-    with pytest.warns(DeprecationWarning, match="until_all_finished"):
-        net.run(max_cycles=5_000_000, until_all_finished=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fresh = Network()
-        fresh.add_node("solo", SensorNode.from_sources(
-            [("sender", SENDER)]))
-        fresh.run(max_cycles=5_000_000)  # no kwarg -> no warning
 
 
 def test_cli_fleet_quick_matches_golden():

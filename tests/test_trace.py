@@ -28,7 +28,7 @@ import pytest
 from repro.analysis.static import ALL_FLAGS, sreg_effects
 from repro.experiments.extra_static import _workload_sources
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernel import KernelConfig, SensorNode
+from repro.kernel import KernelConfig, SensorNode, state_digest
 
 # SPIN shape (inner self-loop strip + outer chain) plus stack traffic,
 # so traces with both branch traps and region-guarded sites compile.
@@ -47,16 +47,6 @@ inner:
     brne outer
     break
 """
-
-
-def _digest(node):
-    kernel, cpu = node.kernel, node.cpu
-    return (bytes(cpu.r), cpu.pc, cpu.sp, cpu.sreg, cpu.cycles,
-            cpu.instret, bytes(cpu.mem.data),
-            dict(kernel.stats.trap_counts), kernel.stats.kernel_cycles,
-            kernel.stats.context_switches,
-            kernel.stats.scheduler_checks,
-            tuple(kernel.stats.terminations))
 
 
 def _boot(sources, **overrides):
@@ -79,11 +69,11 @@ def test_traced_matches_every_other_tier(workload):
     traced = run(trace=True)
     if workload != "table1":  # table1-quick's loops are single-block
         assert traced.kernel.tracer.stats.compiled > 0
-    reference = _digest(traced)
-    assert reference == _digest(run(trace=False))
-    assert reference == _digest(run(trace=False, specialize=False))
-    assert reference == _digest(run(trace=False, specialize=False,
-                                    fuse=False))
+    reference = state_digest(traced)
+    assert reference == state_digest(run(trace=False))
+    assert reference == state_digest(run(trace=False, specialize=False))
+    assert reference == state_digest(run(trace=False, specialize=False,
+                                         fuse=False))
 
 
 def test_fusion_cap_override_reaches_cpu_and_preserves_state():
@@ -94,7 +84,7 @@ def test_fusion_cap_override_reaches_cpu_and_preserves_state():
     for node in (wide, narrow):
         node.run(max_instructions=5_000_000)
         assert node.finished
-    assert _digest(wide) == _digest(narrow)
+    assert state_digest(wide) == state_digest(narrow)
 
 
 # -- deoptimization and mid-trace re-entry --------------------------------------
@@ -122,7 +112,7 @@ def test_relocation_deopts_stale_traces_bit_identically():
 
     traced = run(trace=True)
     assert traced.kernel.specializer.stats.deopts > 0
-    assert _digest(traced) == _digest(run(trace=False))
+    assert state_digest(traced) == state_digest(run(trace=False))
 
 
 def test_null_fault_plan_with_traces_leaves_no_trace():
@@ -137,7 +127,7 @@ def test_null_fault_plan_with_traces_leaves_no_trace():
         assert node.finished
         return node
 
-    assert _digest(run(attach=False)) == _digest(run(attach=True))
+    assert state_digest(run(attach=False)) == state_digest(run(attach=True))
 
 
 # -- the persistent store -------------------------------------------------------

@@ -1,7 +1,8 @@
 """Trap specialization: bit-identical execution and code caches.
 
-The specializing trap compiler (repro.kernel.specialize) is a pure
-speed knob: every register, memory byte, cycle count and kernel
+The specialized tier (``specialize=True, trace=False``: trap blocks
+compile as one-node traces, trap sites step through emitted thunks) is
+a pure speed knob: every register, memory byte, cycle count and kernel
 statistic must match the generic dispatch chain exactly, including
 across stack relocations that invalidate specialized code through the
 per-task region epoch.  The cross-node :class:`SuperblockCache` must
@@ -16,29 +17,15 @@ from repro.avr.cpu import SuperblockCache
 from repro.avr.devices.radio import Radio
 from repro.errors import LinkError
 from repro.experiments.extra_static import _workload_sources
-from repro.kernel import SensorNode
+from repro.kernel import SensorNode, state_digest
 from repro.net.network import Network
 from repro.workloads.bintree import search_task_source
 from repro.workloads.kernelbench import KERNEL_BENCHMARKS
 
 
-def _digest(node):
-    """Complete observable state: CPU, SRAM, kernel accounting."""
-    kernel, cpu = node.kernel, node.cpu
-    return (bytes(cpu.r), cpu.pc, cpu.sp, cpu.sreg, cpu.cycles,
-            cpu.instret, bytes(cpu.mem.data),
-            dict(kernel.stats.trap_counts), kernel.stats.kernel_cycles,
-            kernel.stats.context_switches, kernel.stats.scheduler_checks,
-            tuple(kernel.stats.terminations),
-            tuple((task.task_id, task.kernel_cycles, task.min_sp_seen,
-                   task.max_stack_used, task.branch_counter,
-                   task.exit_reason)
-                  for task in kernel.tasks.values()))
-
-
 def _run(sources, specialize, fuse=True, max_instructions=50_000_000):
     node = SensorNode.from_sources(sources, fuse=fuse,
-                                   specialize=specialize,
+                                   specialize=specialize, trace=False,
                                    block_cache=False)
     node.run(max_instructions=max_instructions)
     return node
@@ -54,8 +41,9 @@ def test_specialized_execution_is_bit_identical(workload):
     generic_stepwise = _run(sources, specialize=False, fuse=False)
     assert specialized.finished
     assert specialized.kernel.specializer.stats.compiled > 0
-    assert _digest(specialized) == _digest(generic_fused)
-    assert _digest(specialized) == _digest(generic_stepwise)
+    assert specialized.kernel.tracer.max_blocks == 1
+    assert state_digest(specialized) == state_digest(generic_fused)
+    assert state_digest(specialized) == state_digest(generic_stepwise)
 
 
 def test_relocation_invalidates_specialized_code_and_stays_identical():
@@ -70,7 +58,7 @@ def test_relocation_invalidates_specialized_code_and_stays_identical():
 
     def run(specialize, fuse=True):
         node = SensorNode.from_sources(sources, fuse=fuse,
-                                       specialize=specialize,
+                                       specialize=specialize, trace=False,
                                        block_cache=False)
         node.run(max_instructions=8_000)
         assert not node.finished
@@ -87,9 +75,38 @@ def test_relocation_invalidates_specialized_code_and_stays_identical():
     assert specialized.kernel.relocator.relocation_count > 0
     assert stats.compiled > 0
     assert stats.deopts > 0  # stale-epoch guards fired and recompiled
-    assert _digest(specialized) == _digest(run(specialize=False))
-    assert _digest(specialized) == _digest(run(specialize=False,
-                                               fuse=False))
+    assert state_digest(specialized) == state_digest(run(specialize=False))
+    assert state_digest(specialized) == state_digest(run(specialize=False,
+                                                         fuse=False))
+
+
+@pytest.mark.parametrize("workload,stop", [("table2", 250_000),
+                                           ("kernelbench", 30_000)])
+def test_every_tier_agrees_across_forced_relocation(workload, stop):
+    """Stop mid-run, grow the running task's stack (a region move every
+    compiled unit of that task must deopt on), finish: the stepwise,
+    thunked, fused, one-node and traced tiers, with ``elide`` on and
+    off where it applies, end in the same state."""
+    sources = _workload_sources(workload, quick=True)
+    tiers = [dict(fuse=False, specialize=False, trace=False),
+             dict(specialize=False, trace=False)]
+    for elide in (False, True):
+        tiers += [dict(fuse=False, trace=False, elide=elide),
+                  dict(trace=False, elide=elide), dict(elide=elide)]
+    digests = []
+    for tier in tiers:
+        node = SensorNode.from_sources(sources, block_cache=False, **tier)
+        node.run(max_instructions=stop)
+        assert not node.finished
+        grown = node.kernel.relocator.grow_stack(
+            node.kernel.current.task_id, 16)
+        assert grown.moved
+        node.run(max_instructions=50_000_000)
+        assert node.finished
+        if node.kernel.specializer is not None:
+            assert node.kernel.specializer.stats.deopts > 0, tier
+        digests.append(state_digest(node))
+    assert all(digest == digests[0] for digest in digests)
 
 
 # -- cross-node superblock sharing ---------------------------------------------
