@@ -907,14 +907,15 @@ def verify_certificate(program, cert: ElisionCertificate) -> List[str]:
 
 # -- image-level integration ------------------------------------------------------
 
-def image_certificates(image) -> Dict[str, Dict[int, ElisionCertificate]]:
-    """Certificates for every task of *image*, keyed by task name then
-    naturalized site address.  Memoized on the image object (images are
-    immutable once linked)."""
+def image_certificates(image) -> List[Dict[int, ElisionCertificate]]:
+    """Certificates for every task of *image*, indexed by task position
+    in ``image.tasks`` (two tasks may share a name) then naturalized
+    site address.  Memoized on the image object (images are immutable
+    once linked)."""
     cached = getattr(image, "_elision_certs", None)
     if cached is not None:
         return cached
-    certs: Dict[str, Dict[int, ElisionCertificate]] = {}
+    certs: List[Dict[int, ElisionCertificate]] = []
     for task in image.tasks:
         natural = task.natural
         nat_by_original = {
@@ -928,7 +929,7 @@ def image_certificates(image) -> Dict[str, Dict[int, ElisionCertificate]]:
                 continue
             cert.nat_site = nat_address
             per_task[nat_address] = cert
-        certs[task.name] = per_task
+        certs.append(per_task)
     image._elision_certs = certs
     return certs
 
@@ -944,10 +945,9 @@ def validated_elisions(image, config) -> Dict[int, str]:
     if key in cache:
         return cache[key]
     table: Dict[int, str] = {}
-    for task in image.tasks:
+    for task, certs in zip(image.tasks, image_certificates(image)):
         heap_high = config.ram_start + task.heap_size
-        for nat_address, cert in \
-                image_certificates(image).get(task.name, {}).items():
+        for nat_address, cert in certs.items():
             if tuple(cert.geometry) != (config.ram_start, heap_high,
                                         config.memory_size):
                 continue
@@ -969,8 +969,7 @@ def analyze_image(image) -> List[dict]:
     provably-safe (certificate-carrying) sites by claim.
     """
     rows: List[dict] = []
-    certs = image_certificates(image)
-    for task in image.tasks:
+    for task, certs in zip(image.tasks, image_certificates(image)):
         program = task.natural.program
         analysis = DataflowAnalysis(program.items, program.entry,
                                     program.symbols.labels).run()
@@ -980,7 +979,7 @@ def analyze_image(image) -> List[dict]:
         resolved_after = len(set(analysis.cfg.unresolved_indirect)
                              - set(analysis.indirect_targets))
         per_claim = {"heap": 0, "stack": 0, "pop": 0}
-        for cert in certs.get(task.name, {}).values():
+        for cert in certs.values():
             per_claim[cert.claim] += 1
         rows.append({
             "program": task.name,

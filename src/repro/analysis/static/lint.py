@@ -325,10 +325,8 @@ def _lint_certificates(image, report: LintReport) -> None:
     aborts the link before any guard-free code can run.
     """
     from .dataflow import image_certificates, verify_certificate
-    certs = image_certificates(image)
-    for task in image.tasks:
-        for nat_address in sorted(certs.get(task.name, {})):
-            cert = certs[task.name][nat_address]
+    for task, certs in zip(image.tasks, image_certificates(image)):
+        for nat_address, cert in sorted(certs.items()):
             report.certificates += 1
             site = task.natural.sites.get(nat_address)
             if site is None or site.kind.name != cert.kind or \

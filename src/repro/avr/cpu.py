@@ -6,8 +6,8 @@ assumption III-A), so the hot loop is a dictionary-free closure call.
 
 On top of the per-instruction thunks the CPU supports *superblock
 fusion* (``fuse=True``, the default): straight-line instruction runs are
-compiled — at first execution, with ``exec`` — into a single Python
-closure that executes the whole run with one dispatch, accumulates
+compiled — at first execution — into a single Python closure that
+executes the whole run with one dispatch, accumulates
 ``cycles``/``instret`` once, and returns to the run loop only at block
 boundaries.  A block ends at (and includes) the first instruction with
 control-flow, stack-pointer, I/O-port, or interrupt-flag side effects,
@@ -15,7 +15,9 @@ or ends *before* a trap-region word.  Interrupts, device alarms, run
 limits and ``until()`` are re-checked at block boundaries; exact
 ``max_cycles``/``max_instructions`` stop semantics are preserved by
 falling back to single-instruction stepping when a block could cross a
-limit.
+limit.  The block source comes from the trace compiler
+(:mod:`repro.avr.trace`), the one code generator for fused code; a CPU
+no kernel gave a tracer compiles one block per trace.
 
 Two integration points exist for the SenSmart kernel:
 
@@ -104,13 +106,13 @@ _MAX_BLOCK = 48
 
 
 class _CachedBlock:
-    """One compiled superblock variant in a :class:`SuperblockCache`.
+    """One compiled trace variant in a :class:`SuperblockCache`.
 
     Holds the shareable compilation products: the code object, the
     site-specific flag tables it references, and the bookkeeping needed
-    to rebind it to another CPU (``term_addr`` for the thunk-calling
-    terminator of a plain superblock, ``trap``/``spec_key`` for the
-    chained trap sites of a trace).
+    to rebind it to another CPU (``term_addr`` for a terminator that
+    runs through its per-PC thunk, ``trap``/``spec_key`` for the chained
+    trap sites and the composite specialization key).
     """
 
     __slots__ = ("code", "tables", "icount", "cost", "term_addr", "trap",
@@ -122,19 +124,18 @@ class _CachedBlock:
         self.tables = tables
         self.icount = icount
         self.cost = cost
-        self.term_addr = term_addr
-        self.trap = trap          # trace: ((site, target, is_call), ...)
-        self.spec_key = spec_key  # trace specialization constants
+        self.term_addr = term_addr  # thunk-called terminator, or None
+        self.trap = trap            # ((site, target, is_call), ...)
+        self.spec_key = spec_key    # composite specialization key
 
 
 class SuperblockCache:
     """Cross-CPU superblock translation cache.
 
-    Superblock compilation depends only on the flash image, the data
-    memory size, the trap ranges, and — for traces with chained trap
-    sites — the constants baked in.  All of that is captured in the key
-    ``(base_key, pc)`` plus the per-variant ``spec_key`` (None for
-    plain superblocks), so N nodes burned with the same image (the common
+    Trace compilation depends only on the flash image, the data memory
+    size, the trap ranges, and the constants baked in.  All of that is
+    captured in the key ``(base_key, pc)`` plus the per-variant
+    ``spec_key``, so N nodes burned with the same image (the common
     network-simulation shape) compile each hot block once and share the
     code objects; every further node only pays an ``exec`` to rebind
     the code to its own registers and memory.
@@ -317,11 +318,11 @@ class AvrCpu(SimClock):
             self._block_cache = block_cache
         self._cache_base_key = None  # lazy (fingerprint, ...) tuple
         self._max_block = max_block
-        #: Optional trace compiler (repro.avr.trace.TraceCompiler);
-        #: consulted by _fuse_block before plain superblock fusion.
+        #: Trace compiler (repro.avr.trace.TraceCompiler) every fused
+        #: block compiles through; a one-block compiler by default.
         self._tracer = None
-        # Run limits as seen by self-looping superblocks; _run_fused
-        # refreshes them on every run() call.
+        # Run limits as seen by compiled traces (seams, loops); run()
+        # publishes them on every call.
         self._run_mc = float("inf")
         self._run_mi = float("inf")
         self._run_until: Optional[Callable] = None
@@ -363,11 +364,12 @@ class AvrCpu(SimClock):
         self.invalidate_decode()
 
     def set_tracer(self, tracer) -> None:
-        """Install a trace compiler; ``_fuse_block`` consults it first.
+        """Install the trace compiler every fused block compiles through.
 
-        ``tracer.entry_for(pc)`` may return a ``(closure, icount, cost)``
-        dispatch entry covering several chained superblocks, or ``None``
-        to fall back to plain fusion.
+        ``tracer.entry_for(pc)`` returns the ``(closure, icount, cost)``
+        dispatch entry for the block at *pc* (possibly chaining further
+        blocks).  ``None`` restores the default compiler, which chains
+        nothing (``TraceCompiler(cpu, max_blocks=1)``).
         """
         self._tracer = tracer
         self.invalidate_decode()
@@ -405,8 +407,9 @@ class AvrCpu(SimClock):
     def enable_profiling(self) -> None:
         """Count executions per PC (Avrora-style flat profile).
 
-        Adds one array increment per instruction; enable only when the
-        profile is wanted.
+        Adds one array increment per instruction, and a profiled CPU
+        dispatches stepwise even when ``fuse`` is set; enable only when
+        the profile is wanted.
         """
         self.profile = [0] * self.flash.size_words
         self.invalidate_decode()
@@ -505,7 +508,7 @@ class AvrCpu(SimClock):
         if self.cycles >= self.events.next_due and not self.halted:
             self.events.run_due(self.cycles)
         try:
-            if self.fuse:
+            if self.fuse and self.profile is None:
                 self._run_fused(max_cycles, max_instructions, until)
             else:
                 self._run_stepwise(max_cycles, max_instructions, until)
@@ -610,15 +613,17 @@ class AvrCpu(SimClock):
 
     # -- decoding into closures ---------------------------------------------------
 
-    def _decode_at(self, pc: int) -> Callable[[], None]:
+    def _decode_instruction(self, pc: int) -> Instruction:
         word = self.flash.word(pc)
         next_word = self.flash.word(pc + 1) \
             if pc + 1 < self.flash.size_words else None
         try:
-            instr = decode(word, next_word, pc)
+            return decode(word, next_word, pc)
         except EncodingError:
             raise InvalidInstruction(pc, word) from None
-        thunk = self._build(instr)
+
+    def _decode_at(self, pc: int) -> Callable[[], None]:
+        thunk = self._build(self._decode_instruction(pc))
         if self.profile is not None:
             inner = thunk
             profile = self.profile
@@ -637,206 +642,36 @@ class AvrCpu(SimClock):
     # -- superblock fusion --------------------------------------------------------
 
     def _fuse_block(self, pc: int) -> Tuple[Callable[[], None], int, int]:
-        """Fuse the straight-line run starting at *pc* into one closure.
-
-        Members are emitted as inline Python source and compiled with
-        ``exec``; the terminating instruction (control flow / SP / I/O /
-        interrupt-flag side effects) executes through its normal thunk —
-        or is inlined too for the hot unconditional/conditional branches.
-        Trap-terminated blocks with a compiled fast path come from the
-        trace compiler instead (see :mod:`repro.avr.trace`).
-        Cycle accumulation order matches stepwise execution exactly:
-        member cycles land on the clock *before* the terminator runs, so
-        terminators (and trap handlers) observe identical ``cpu.cycles``.
-
-        Compiled blocks are shared through the :class:`SuperblockCache`
-        (keyed by flash fingerprint, memory size, trap ranges and pc),
-        so an identically-burned CPU rebinds the cached code object
-        instead of recompiling.
-
-        Returns and caches ``(closure, instruction_count, member_cycles)``.
-        """
-        if self._tracer is not None and self.profile is None:
-            entry = self._tracer.entry_for(pc)
-            if entry is not None:
-                self._blocks[pc] = entry
-                return entry
-        base = self._cache_base()
-        if base is not None:
-            entry = self._from_cache(base, pc)
-            if entry is not None:
-                return entry
-        namespace = {
-            "cpu": self, "r": self.r, "mem": self.mem.data,
-            "flash": self.flash, "profile": self.profile,
-            "lf": _LOGIC_TABLE, "incf": _INC_TABLE, "decf": _DEC_TABLE,
-            "lsrf": _LSR_TABLE, "asrf": _ASR_TABLE, "negf": _NEG_TABLE,
-            "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],
-        }
-        lines: List[str] = []
-        member_addrs: List[int] = []
-        cost = 0
-        uses_sreg = False
-        cur = pc
-        term = None
-        term_ins = None
-        while len(member_addrs) < self._max_block:
-            if self.in_trap_region(cur):
-                break  # never fuse across a trap-region boundary
-            if cur == pc:
-                # First instruction: decode errors surface exactly as in
-                # stepwise execution (and the thunk doubles as fallback).
-                ins = self._decode_instruction(pc)
-            else:
-                try:
-                    ins = self._decode_instruction(cur)
-                except (InvalidInstruction, MemoryFault):
-                    break  # stop fusing; raise only if actually reached
-            member = self._member_src(ins, namespace, len(member_addrs))
-            if member is None:
-                term = self._exec[cur]
-                if term is None:
-                    term = self._decode_at(cur)
-                term_ins = ins
-                break
-            src, cycles, touches_sreg = member
-            lines.extend(src)
-            member_addrs.append(cur)
-            cost += cycles
-            uses_sreg = uses_sreg or touches_sreg
-            cur = ins.next_address
-
-        count = len(member_addrs)
-        body: Optional[List[str]] = None
-        term_addr: Optional[int] = None
-        if term_ins is not None and self.profile is None:
-            body = self._self_loop_body(term_ins, lines, cost, count,
-                                        uses_sreg, pc)
-            if body is not None:
-                icount = count + 1
-        if body is None:
-            body = []
-            if uses_sreg:
-                body.append("sr = cpu.sreg")
-            body.extend(lines)
-            if self.profile is not None:
-                for address in member_addrs:
-                    body.append(f"profile[{address}] += 1")
-            if uses_sreg:
-                body.append("cpu.sreg = sr")
-            inline_term = None
-            if term_ins is not None and self.profile is None:
-                inline_term = self._inline_term_src(term_ins, cost,
-                                                    count, uses_sreg)
-            if inline_term is not None:
-                body.extend(inline_term)
-                icount = count + 1
-            elif term is not None:
-                if cost:
-                    body.append(f"cpu.cycles += {cost}")
-                if count:
-                    body.append(f"cpu.instret += {count}")
-                body.append("t()")
-                body.append("cpu.instret += 1")
-                icount = count + 1
-                term_addr = cur
-            else:
-                # Block stopped before a trap region / undecodable
-                # word / the member cap: leave pc on the next
-                # unexecuted word.
-                body.append(f"cpu.pc = {cur}")
-                if cost:
-                    body.append(f"cpu.cycles += {cost}")
-                body.append(f"cpu.instret += {count}")
-                icount = count
-        namespace["t"] = term
-        source = "def _blk():\n" + "\n".join(
-            "    " + line for line in body)
-        code = compile(source, f"<superblock@{pc:#06x}>", "exec")
-        exec(code, namespace)
-        entry = (namespace["_blk"], icount, cost)
-        self._blocks[pc] = entry
-        if base is not None:
-            tables = {name: value for name, value in namespace.items()
-                      if name[0] in "tu" and name[1:].isdigit()}
-            self._block_cache.store(base, pc, _CachedBlock(
-                code=code, tables=tables, icount=icount, cost=cost,
-                term_addr=term_addr, trap=None, spec_key=None))
+        """Compile the block at *pc* through the trace compiler and cache
+        its ``(closure, instruction_count, member_cycles)`` entry."""
+        if self._tracer is None:
+            from .trace import TraceCompiler
+            self._tracer = TraceCompiler(self, max_blocks=1)
+        entry = self._blocks[pc] = self._tracer.entry_for(pc)
         return entry
 
     def _cache_base(self):
-        """Cross-CPU cache key prefix, or None when caching is off.
-
-        Profiling wraps per-instruction thunks and emits per-member
-        counter lines, so profiled compilations never enter the cache.
-        """
-        if self._block_cache is None or self.profile is not None:
-            return None
+        """Image key of compiled code — (flash fingerprint, memory size,
+        trap ranges) — for the block cache and the trace store."""
         if self._cache_base_key is None:
             self._cache_base_key = (self.flash.fingerprint(),
                                     self.mem.size,
                                     tuple(self._trap_ranges))
         return self._cache_base_key
 
-    def _from_cache(self, base, pc: int):
-        """Rebind a cached superblock to this CPU, or None on miss."""
-        cache = self._block_cache
-        group = cache.groups.get((base, pc))
-        block = group.get(None) if group else None
-        if block is None:
-            cache.misses += 1
-            return None
-        cache.hits += 1
-        ns = {
-            "cpu": self, "r": self.r, "mem": self.mem.data,
-            "flash": self.flash, "profile": None,
-            "lf": _LOGIC_TABLE, "incf": _INC_TABLE, "decf": _DEC_TABLE,
-            "lsrf": _LSR_TABLE, "asrf": _ASR_TABLE, "negf": _NEG_TABLE,
-            "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],
-        }
-        ns.update(block.tables)
-        term = None
-        if block.term_addr is not None:
-            term = self._exec[block.term_addr]
-            if term is None:
-                term = self._decode_at(block.term_addr)
-        ns["t"] = term
-        exec(block.code, ns)
-        entry = (ns["_blk"], block.icount, block.cost)
-        self._blocks[pc] = entry
-        return entry
-
-    def _decode_instruction(self, pc: int) -> Instruction:
-        word = self.flash.word(pc)
-        next_word = self.flash.word(pc + 1) \
-            if pc + 1 < self.flash.size_words else None
-        try:
-            return decode(word, next_word, pc)
-        except EncodingError:
-            raise InvalidInstruction(pc, word) from None
-
-    def _member_src(self, ins: Instruction, ns: dict, uid: int):
+    def _member_parts(self, ins: Instruction, ns: dict, uid: int):
         """Inline source for a fusible instruction, or None.
 
-        Returns ``(lines, cycles, touches_sreg)``.  Fusible means: fixed
-        cycle cost, sequential control flow, and no side effects outside
-        registers, SREG (I excluded), and static SRAM — anything that
-        touches SP, an I/O port, the I flag, or a dynamic address stays
-        a block terminator so device hooks and interrupt delivery keep
-        instruction-boundary semantics.  Member templates compute the
-        exact SREG bits of the closures in :meth:`_build` — mostly via
-        the precomputed flag tables — and keep the status register in
-        the block-local ``sr``.  Site-specific tables are bound into
-        *ns* under names derived from *uid*.
-        """
-        parts = self._member_parts(ins, ns, uid)
-        if parts is None:
-            return None
-        effect, flags, cycles, touches, _ = parts
-        return (effect + flags, cycles, touches)
-
-    def _member_parts(self, ins: Instruction, ns: dict, uid: int):
-        """Split member source for the trace compiler, or None.
+        Fusible means: fixed cycle cost, sequential control flow, and
+        no side effects outside registers, SREG (I excluded), and static
+        SRAM — anything that touches SP, an I/O port, the I flag, or a
+        dynamic address stays a block terminator so device hooks and
+        interrupt delivery keep instruction-boundary semantics.  Member
+        templates compute the exact SREG bits of the closures in
+        :meth:`_build` — mostly via the precomputed flag tables — and
+        keep the status register in the block-local ``sr``.
+        Site-specific tables are bound into *ns* under names derived
+        from *uid*.
 
         Returns ``(effect_lines, flag_lines, cycles, touches_sreg,
         preds)``: the register/memory effect, the (separable) SREG
@@ -844,9 +679,7 @@ class AvrCpu(SimClock):
         dict of flag-bit -> predicate expression valid *after* the
         effect lines — used by traces to test a branch condition
         directly on the result and defer (or elide) the flag
-        computation.  ``effect + flags`` is exactly the
-        :meth:`_member_src` line list, so both tiers compile identical
-        semantics from one template.
+        computation.
         """
         m = ins.mnemonic
         ops = ins.operands
@@ -1068,108 +901,6 @@ class AvrCpu(SimClock):
                     1, True, {})
         if m in ("NOP", "WDR"):
             return ([], [], 1, False, {})
-        return None
-
-    def _self_loop_body(self, ins: Instruction, members: List[str],
-                        cost: int, count: int, uses_sreg: bool,
-                        start: int) -> Optional[List[str]]:
-        """Complete closure body for a block that branches back to its
-        own start, or None if *ins* is not such a backward branch.
-
-        The closure iterates internally, so tight spin loops pay the
-        dispatch cost once.  Every observable boundary check of
-        :meth:`_run_fused` is replicated per iteration: the exit guard
-        tests the device alarm and applies the same exact-stop
-        conditions against the run limits (published by ``run()`` as
-        ``_run_mi``/``_run_mc``); a pending ``until()`` predicate forces
-        an exit after one iteration so the run loop evaluates it.
-        Nothing else can change mid-block — devices, traps and
-        interrupts only get control between dispatches — so ``cycles``,
-        ``instret`` and SREG can live in locals until exit.
-        """
-        m = ins.mnemonic
-        if m in ("BRBS", "BRBC"):
-            s, k = ins.operands
-            if ins.next_address + k != start:
-                return None
-            mask = 1 << s
-            flags = "sr" if uses_sreg else "cpu.sreg"
-            taken = f"{flags} & {mask}" if m == "BRBS" \
-                else f"not ({flags} & {mask})"
-            taken_cycles, fall_cycles = cost + 2, cost + 1
-        elif m == "RJMP" and ins.next_address + ins.operands[0] == start:
-            taken = None
-            taken_cycles = cost + 2
-        else:
-            return None
-        body = []
-        if uses_sreg:
-            body.append("sr = cpu.sreg")
-        body += ["cy = cpu.cycles",
-                 "n = cpu.instret",
-                 # No event can be scheduled mid-block (members touch
-                 # neither I/O nor SP), so next_due is loop-invariant;
-                 # -1 forces an exit after one iteration when until()
-                 # must be evaluated.
-                 "da = -1.0 if cpu._run_until is not None "
-                 "else cpu.events.next_due",
-                 "mi = cpu._run_mi",
-                 "mc = cpu._run_mc",
-                 "while True:"]
-        inner = list(members)
-        guard = [f"cy += {taken_cycles}",
-                 f"n += {count + 1}",
-                 f"if cy >= da or n + {count + 1} > mi "
-                 f"or cy + {cost} >= mc:",
-                 f"    cpu.pc = {start}",
-                 "    break"]
-        if taken is None:
-            inner += guard
-        else:
-            inner += ([f"if {taken}:"]
-                      + ["    " + line for line in guard]
-                      + ["else:",
-                         f"    cpu.pc = {ins.next_address}",
-                         f"    cy += {fall_cycles}",
-                         f"    n += {count + 1}",
-                         "    break"])
-        body += ["    " + line for line in inner]
-        if uses_sreg:
-            body.append("cpu.sreg = sr")
-        body += ["cpu.cycles = cy", "cpu.instret = n"]
-        return body
-
-    def _inline_term_src(self, ins: Instruction, cost: int, count: int,
-                         uses_sreg: bool) -> Optional[List[str]]:
-        """Inline source for hot block terminators (branches, RJMP).
-
-        Folds the members' cycle total into each arm so the epilogue is
-        a single pc/cycles/instret update.  When the members kept SREG
-        in the local ``sr``, the branch tests that local directly.
-        """
-        m = ins.mnemonic
-        if m in ("BRBS", "BRBC"):
-            s, k = ins.operands
-            mask = 1 << s
-            target = ins.next_address + k
-            flags = "sr" if uses_sreg else "cpu.sreg"
-            test = f"{flags} & {mask}" if m == "BRBS" \
-                else f"not ({flags} & {mask})"
-            return [f"if {test}:",
-                    f"    cpu.pc = {target}",
-                    f"    cpu.cycles += {cost + 2}",
-                    "else:",
-                    f"    cpu.pc = {ins.next_address}",
-                    f"    cpu.cycles += {cost + 1}",
-                    f"cpu.instret += {count + 1}"]
-        if m == "RJMP":
-            (k,) = ins.operands
-            target = ins.next_address + k
-            if self.in_trap_region(target):
-                return None  # cannot happen for RJMP sites, but be safe
-            return [f"cpu.pc = {target}",
-                    f"cpu.cycles += {cost + 2}",
-                    f"cpu.instret += {count + 1}"]
         return None
 
     def _build(self, ins: Instruction) -> Callable[[], None]:

@@ -1,14 +1,15 @@
-"""Trace JIT: the one code generator for compiled trap sites and
-direct-threaded chains of superblocks.
+"""Trace JIT: the one code generator for fused blocks, compiled trap
+sites and direct-threaded chains of blocks.
 
-The superblock tier (:meth:`AvrCpu._fuse_block`) compiles straight-line
-runs but still returns to the dispatch loop between every block: a hot
-multi-block loop pays a full dispatch round-trip — limit checks, event
-check, IRQ check, attribute traffic on ``cycles``/``instret``/``sreg`` —
-per *block* instead of per loop.  This module chains blocks whose
-terminators are direct transfers (unconditional jumps, conditional
-branches, and the trap fast paths) into one ``exec``-compiled closure,
-so the whole loop executes with locals-only state:
+Every fused block (:meth:`AvrCpu._fuse_block`) compiles here.  A block
+that returned to the dispatch loop after every straight-line run would
+make a hot multi-block loop pay a full dispatch round-trip — limit
+checks, event check, IRQ check, attribute traffic on
+``cycles``/``instret``/``sreg`` — per *block* instead of per loop.  This
+module chains blocks whose terminators are direct transfers
+(unconditional jumps, conditional branches, and the trap fast paths)
+into one ``exec``-compiled closure, so the whole loop executes with
+locals-only state:
 
 * ``cy``/``n``/``sr`` shadow ``cycles``/``instret``/``sreg``;
 * every *seam* between chained blocks replicates the dispatch loop's
@@ -33,31 +34,37 @@ so the whole loop executes with locals-only state:
   predicate directly and the flag lines materialize only on trace exits
   that did not kill them.
 
-This is the only place trap fast-path source is generated.  A block
-ending in a trap compiles as a *one-node trace* when nothing chains
-after it (and always under ``trace=False``, where the tracer is capped
-at one block), and :func:`compile_trap_thunk` emits the same node with
-no members as the stepwise thunk for a site.
+This is the only place fused-block and trap fast-path source is
+generated.  Every block compiles as a trace: a *one-node trace* when
+nothing chains after it (and always when the tracer is capped at one
+block: ``trace=False``, and every CPU no kernel gave a tracer), and
+:func:`compile_trap_thunk` emits a trap node with no members as the
+stepwise thunk for a site.
 
-Mid-trace safety rests on the same invariants as superblock fusion:
-members never touch I/O, SP (outside compiled trap code), or the I
-flag, so no event can fire, no interrupt can become deliverable, and no
-device state can change between seams; SEI, RETI, ``OUT`` to SREG,
-skips, indirect jumps and calls all end a trace, and an I/O-class
-``LDS``/``STS`` trap runs on flushed state as a trace's last node.
+Mid-trace safety rests on the fusion invariants: members never touch
+I/O, SP (outside compiled trap code), or the I flag, so no event can
+fire, no interrupt can become deliverable, and no device state can
+change between seams.  A terminator with no inline form — RET/RETI,
+SEI/CLI, I/O, SP, skips, indirect and relative calls, SLEEP/BREAK, and
+traps without a fast path — ends the trace *with* its block: the state
+is flushed and the instruction runs through its own per-PC thunk.  An
+I/O-class ``LDS``/``STS`` trap likewise runs on flushed state as a
+trace's last node.  A block that stops at the member cap, before a
+trap-region word or before an undecodable word exits at that address.
 
 Compiled traces are shared across CPUs through the in-process
-:class:`~repro.avr.cpu.SuperblockCache` (key-prefixed ``"trace"``) and,
-when a :class:`TraceStore` is configured, persisted to disk as *source*
-plus the per-site specialization keys — never code objects — keyed by
-flash fingerprint, memory size and trap ranges.  A warm process compiles
-nothing: it recompiles the stored source, which is cheap and versioned;
-corrupt, stale or mismatched entries fall back to a clean recompile.
+:class:`~repro.avr.cpu.SuperblockCache` and, when a :class:`TraceStore`
+is configured, persisted to disk as *source* plus the per-site
+specialization keys — never code objects — keyed by flash fingerprint,
+memory size and trap ranges.  A warm process compiles nothing: it
+recompiles the stored source, which is cheap and versioned; corrupt,
+stale or mismatched entries fall back to a clean recompile.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing.util
 import os
 import re
 from dataclasses import dataclass
@@ -85,7 +92,7 @@ _SHADOW_UPDATE = re.compile(r"^\s*(cy|n|kc|c\d+) [+-]= ", re.M)
 
 #: On-disk artifact format version; any change to the generated source
 #: conventions or the artifact schema must bump this.
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 
 @dataclass
@@ -93,7 +100,7 @@ class TraceStats:
     """Observability for tests, benchmarks and ``sensmart run --stats``."""
 
     compiled: int = 0      # traces compiled from scratch in this process
-    declined: int = 0      # entry points where chaining was not worthwhile
+    declined: int = 0      # compiled as one non-trap block: nothing chained
     cache_hits: int = 0    # rebinds served by the in-process cache
     store_hits: int = 0    # recompiles served by the persistent store
     store_misses: int = 0  # store lookups that found no usable artifact
@@ -102,8 +109,7 @@ class TraceStats:
 def _base_ns(cpu) -> dict:
     """The namespace every generated trace closure is exec'd against."""
     return {
-        "cpu": cpu, "r": cpu.r, "mem": cpu.mem.data,
-        "flash": cpu.flash, "profile": None,
+        "cpu": cpu, "r": cpu.r, "mem": cpu.mem.data, "flash": cpu.flash,
         "lf": _LOGIC_TABLE, "incf": _INC_TABLE, "decf": _DEC_TABLE,
         "lsrf": _LSR_TABLE, "asrf": _ASR_TABLE, "negf": _NEG_TABLE,
         "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],
@@ -152,6 +158,13 @@ def _bind_facts(ns: dict, facts) -> None:
             kinds.append(name)
 
 
+def _bind_term(ns: dict, cpu, addr: Optional[int]) -> None:
+    """Bind the per-PC thunk of a trace's call-node terminator (decoded
+    now if this CPU has not executed it yet) as ``term``."""
+    if addr is not None:
+        ns["term"] = cpu._exec[addr] or cpu._decode_at(addr)
+
+
 def _ind(lines, depth: int = 1) -> List[str]:
     pad = "    " * depth
     return [pad + line for line in lines]
@@ -178,17 +191,20 @@ class _Member:
 class _Node:
     """One chained block: members plus a classified terminator."""
 
-    __slots__ = ("start", "members", "count", "cost", "kind", "facts",
-                 "cont", "bit", "branch_if_set", "taken", "fall",
-                 "target", "jcycles", "nat_target", "strip", "deferred",
-                 "strip_elide", "kind_index")
+    __slots__ = ("start", "members", "count", "cost", "icount", "kind",
+                 "facts", "cont", "bit", "branch_if_set", "taken", "fall",
+                 "target", "term", "jcycles", "nat_target", "strip",
+                 "deferred", "strip_elide", "kind_index")
 
     def __init__(self, start, members):
         self.start = start
         self.members = members
         self.count = len(members)
         self.cost = sum(m.cycles for m in members)
-        self.kind = None        # "brcond" | "jmp" | "trap"
+        self.icount = self.count + 1  # instructions the block retires
+        #: "brcond" | "jmp" | "trap" | "call" (terminator runs through
+        #: its per-PC thunk) | "stop" (no terminator: exit at target)
+        self.kind = None
         self.facts = None       # TraceFacts for trap terminators
         self.cont = None        # in-trace successor address, or None
         self.bit = None
@@ -196,6 +212,7 @@ class _Node:
         self.taken = None
         self.fall = None
         self.target = None
+        self.term = None        # call node: the terminator's address
         self.jcycles = 0
         self.nat_target = None
         self.strip = False       # self-looping branch trap: strip-mine
@@ -213,7 +230,7 @@ _DEFAULT_STORE_MAX_FILES = 256
 class TraceStoreStats:
     """On-disk store traffic, shown by ``sensmart run --stats``."""
 
-    writes: int = 0     # files written (one per image, rewritten per put)
+    writes: int = 0     # image files written (once per flush if dirty)
     evictions: int = 0  # files removed to enforce the size bound
     corrupt: int = 0    # files present but unusable (bad JSON, version
                         # or fingerprint mismatch) — served as misses
@@ -223,11 +240,17 @@ class TraceStore:
     """Persistent compiled-trace artifacts, one JSON file per image.
 
     Artifacts are generated Python *source* plus the data needed to
-    rebind it (flag-table manifest, chained trap sites, composite spec
-    key) — never pickled code objects, so the store is portable across
-    Python versions and a stale or corrupt file can always be ignored.
-    Writes are atomic (temp file + ``os.replace``) and best-effort: an
-    unwritable store degrades to a per-process compile, never an error.
+    rebind it (flag-table manifest, chained trap sites, call-node
+    terminator, composite spec key) — never pickled code objects, so the
+    store is portable across Python versions and a stale or corrupt file
+    can always be ignored.
+
+    :meth:`add` only records an artifact in memory; :meth:`flush` writes
+    each dirty image file once.  Kernels share one store per directory
+    (:meth:`shared`), flushed when the process exits, so a process
+    writes each image file once however many traces it compiles.  Writes are
+    atomic (temp file + ``os.replace``) and best-effort: an unwritable
+    store degrades to a per-process compile, never an error.
 
     The directory is bounded: at most *max_files* image files live in
     it, evicted LRU-ish by modification time (every load of a file
@@ -246,6 +269,26 @@ class TraceStore:
         self.max_files = max_files
         self.stats = TraceStoreStats()
         self._cache: Dict[str, dict] = {}  # filename -> traces dict
+        self._dirty: Dict[str, str] = {}   # filename -> fingerprint
+        self._flush_pid = None  # process whose exit flushes this store
+
+    #: Process-wide stores by directory (see :meth:`shared`).
+    _shared: Dict[str, "TraceStore"] = {}
+
+    @classmethod
+    def shared(cls, path: str) -> "TraceStore":
+        """The process-wide store for *path*: every kernel in the process
+        reads and extends one in-memory copy, flushed when the process
+        exits — a forked ``multiprocessing`` child that exits normally
+        included (its copy starts as the parent's)."""
+        store = cls._shared.get(path)
+        if store is None:
+            store = cls._shared[path] = cls(path)
+        if store._flush_pid != os.getpid():
+            store._flush_pid = os.getpid()
+            multiprocessing.util.Finalize(None, store.flush,
+                                          exitpriority=0)
+        return store
 
     def _file_for(self, base) -> str:
         fingerprint, mem_size, trap_ranges = base
@@ -287,22 +330,31 @@ class TraceStore:
         traces = payload.get("traces")
         return traces if isinstance(traces, dict) else {}
 
-    def put(self, base, pc: int, key_repr: str, artifact: dict) -> None:
-        traces = self.load(base)
-        traces.setdefault(str(pc), {})[key_repr] = artifact
-        payload = {"version": STORE_VERSION, "fingerprint": base[0],
-                   "traces": traces}
-        filename = self._file_for(base)
-        try:
-            os.makedirs(self.path, exist_ok=True)
-            tmp = filename + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, filename)
-            self.stats.writes += 1
-            self._evict(keep=filename)
-        except OSError:
-            pass  # best-effort: a read-only store still serves loads
+    def add(self, base, pc: int, key_repr: str, artifact: dict) -> None:
+        """Record *artifact*; its image file is written at the next
+        :meth:`flush`."""
+        self.load(base).setdefault(str(pc), {})[key_repr] = artifact
+        self._dirty[self._file_for(base)] = base[0]
+
+    def flush(self) -> None:
+        """Write every dirty image file once."""
+        dirty, self._dirty = self._dirty, {}
+        for filename, fingerprint in dirty.items():
+            traces = self._cache.get(filename)
+            if traces is None:
+                continue  # evicted since it was dirtied
+            payload = {"version": STORE_VERSION, "fingerprint": fingerprint,
+                       "traces": traces}
+            try:
+                os.makedirs(self.path, exist_ok=True)
+                tmp = filename + ".tmp"
+                with open(tmp, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle)
+                os.replace(tmp, filename)
+                self.stats.writes += 1
+                self._evict(keep=filename)
+            except OSError:
+                pass  # best-effort: a read-only store still serves loads
 
     def _evict(self, keep: str) -> None:
         """Drop the oldest files once the directory exceeds the bound
@@ -325,13 +377,14 @@ class TraceStore:
 class TraceCompiler:
     """Assembles, compiles, caches and rebinds traces.
 
-    A trace chains up to *max_blocks* blocks; a lone trap-terminated
-    block is a one-node trace (``max_blocks=1`` compiles only those).
-    Installed on the CPU via :meth:`AvrCpu.set_tracer`;
-    :meth:`entry_for` is consulted by ``_fuse_block`` before plain
-    fusion and returns a ``(closure, icount, cost)`` dispatch entry (the
+    A trace chains up to *max_blocks* blocks; every block compiles, as
+    a one-node trace when nothing chains (``max_blocks=1`` compiles
+    every block on its own).  Installed on the CPU via
+    :meth:`AvrCpu.set_tracer` (a fused CPU without one creates a
+    one-block compiler); ``_fuse_block`` delegates to :meth:`entry_for`,
+    which returns a ``(closure, icount, cost)`` dispatch entry — the
     head block's counts, so the dispatch-loop exact-stop check covers
-    the head and seams cover the rest) or ``None`` to decline.
+    the head and seams cover the rest.
     """
 
     def __init__(self, cpu, specializer=None, store: Optional[TraceStore]
@@ -346,12 +399,10 @@ class TraceCompiler:
 
     def entry_for(self, pc: int):
         cpu = self.cpu
-        if cpu.profile is not None:
-            return None  # profiled runs count per-PC: stay per-block
-        mem_base = cpu._cache_base()
-        if mem_base is not None:
-            cache = cpu._block_cache
-            group = cache.groups.get((("trace",) + mem_base, pc))
+        base = cpu._cache_base()
+        cache = cpu._block_cache
+        if cache is not None:
+            group = cache.groups.get((base, pc))
             hit = None
             if group:
                 for block in group.values():
@@ -369,19 +420,17 @@ class TraceCompiler:
                 return self._rebind(block, facts)
             cache.misses += 1
         if self.store is not None:
-            entry = self._from_store(pc, mem_base)
+            entry = self._from_store(pc, base)
             if entry is not None:
                 return entry
-        return self._compile(pc, mem_base)
+        return self._compile(pc, base)
 
     # -- cache / store plumbing ---------------------------------------------------
 
-    def _store_base(self):
-        """Store key: computed fresh so the persistent store works even
-        when in-process block sharing is disabled."""
-        cpu = self.cpu
-        return (cpu.flash.fingerprint(), cpu.mem.size,
-                tuple(cpu._trap_ranges))
+    def _share(self, base, pc: int, block: _CachedBlock) -> None:
+        cache = self.cpu._block_cache
+        if cache is not None:
+            cache.store(base, pc, block)
 
     def _resolve_sites(self, sites):
         """Current ``(composite_key, facts)`` for a stored site list, or
@@ -393,12 +442,13 @@ class TraceCompiler:
         every site under one entry guard, and guarding (and keying) the
         epoch uniformly means any externally-forced region change
         retires all of the owning task's traces through the normal
-        deopt-then-recompile path.  It ends with the block cap, so a
-        one-node tier never picks up a chained trace from a shared cache
-        or store.
+        deopt-then-recompile path.  It ends with the block cap and
+        whether trap sites get fast paths, so a one-node tier never
+        picks up a chained trace, nor a specializing tracer a trace that
+        runs its traps generically, from a shared cache or store.
         """
         if not sites:
-            return ((), None, self.max_blocks), []
+            return self._key((), None), []
         specializer = self.specializer
         if specializer is None:
             return None
@@ -416,27 +466,31 @@ class TraceCompiler:
                 return None
             facts.append(fact)
             keys.append(fact.spec_key)
-        return (tuple(keys), facts[0].epoch, self.max_blocks), facts
+        return self._key(tuple(keys), facts[0].epoch), facts
+
+    def _key(self, site_keys: Tuple, epoch) -> Tuple:
+        return (site_keys, epoch, self.max_blocks,
+                self.specializer is not None)
 
     def _rebind(self, block: _CachedBlock, facts):
         ns = _base_ns(self.cpu)
         ns.update(block.tables)
         _bind_facts(ns, facts)
+        _bind_term(ns, self.cpu, block.term_addr)
         exec(block.code, ns)
         return (ns["_blk"], block.icount, block.cost)
 
-    def _from_store(self, pc: int, mem_base):
-        entries = self.store.load(self._store_base()).get(str(pc))
+    def _from_store(self, pc: int, base):
+        entries = self.store.load(base).get(str(pc))
         if entries:
             for key_repr, artifact in entries.items():
-                entry = self._load_artifact(pc, mem_base, key_repr,
-                                            artifact)
+                entry = self._load_artifact(pc, base, key_repr, artifact)
                 if entry is not None:
                     return entry
         self.stats.store_misses += 1
         return None
 
-    def _load_artifact(self, pc, mem_base, key_repr, artifact):
+    def _load_artifact(self, pc, base, key_repr, artifact):
         """Recompile one stored artifact, or None when it does not match
         the current specialization constants or is corrupt in any way."""
         try:
@@ -454,76 +508,74 @@ class TraceCompiler:
                 return None
             icount = int(artifact["icount"])
             cost = int(artifact["cost"])
+            term = artifact["term"]
+            if term is not None and \
+                    not 0 <= term < self.cpu.flash.size_words:
+                return None
             code = compile(source, f"<trace@{pc:#06x}>", "exec")
             ns = _base_ns(self.cpu)
             ns.update(tables)
             _bind_facts(ns, facts)
+            _bind_term(ns, self.cpu, term)
             exec(code, ns)
             entry = (ns["_blk"], icount, cost)
         except (KeyError, IndexError, TypeError, ValueError,
                 SyntaxError):
             return None  # corrupt artifact: fall back to a recompile
         self.stats.store_hits += 1
-        if mem_base is not None:
-            self.cpu._block_cache.store(
-                ("trace",) + mem_base, pc,
-                _CachedBlock(code=code, tables=tables, icount=icount,
-                             cost=cost, term_addr=None, trap=sites,
-                             spec_key=key))
+        self._share(base, pc, _CachedBlock(
+            code=code, tables=tables, icount=icount, cost=cost,
+            term_addr=term, trap=sites, spec_key=key))
         return entry
 
     # -- compilation --------------------------------------------------------------
 
-    def _compile(self, pc: int, mem_base):
+    def _compile(self, pc: int, base):
         ns = _base_ns(self.cpu)
         manifest: List[list] = []
-        built = self._assemble(pc, ns, manifest)
-        if built is None:
-            self.stats.declined += 1
-            return None
-        nodes, tail = built
+        nodes, tail = self._assemble(pc, ns, manifest)
         source = _Emitter(nodes, tail).source()
         facts = [node.facts for node in nodes if node.facts is not None]
-        key = (tuple(fact.spec_key for fact in facts),
-               facts[0].epoch if facts else None, self.max_blocks)
+        key = self._key(tuple(fact.spec_key for fact in facts),
+                        facts[0].epoch if facts else None)
         sites = tuple((fact.site, fact.target, fact.is_call)
                       for fact in facts)
+        term = nodes[-1].term
         code = compile(source, f"<trace@{pc:#06x}>", "exec")
         _bind_facts(ns, facts)
+        _bind_term(ns, self.cpu, term)
         exec(code, ns)
         head = nodes[0]
-        entry = (ns["_blk"], head.count + 1, head.cost)
-        self.stats.compiled += 1
+        entry = (ns["_blk"], head.icount, head.cost)
+        if len(nodes) == 1 and head.kind != "trap":
+            self.stats.declined += 1
+        else:
+            self.stats.compiled += 1
         if self.specializer is not None and sites:
             # Each chained site is a specialization this trace replaces.
             self.specializer.stats.compiled += len(sites)
         tables = {name: value for name, value in ns.items()
                   if name[0] in "tu" and name[1:].isdigit()}
-        if mem_base is not None:
-            self.cpu._block_cache.store(
-                ("trace",) + mem_base, pc,
-                _CachedBlock(code=code, tables=tables,
-                             icount=head.count + 1, cost=head.cost,
-                             term_addr=None, trap=sites, spec_key=key))
+        self._share(base, pc, _CachedBlock(
+            code=code, tables=tables, icount=head.icount, cost=head.cost,
+            term_addr=term, trap=sites, spec_key=key))
         if self.store is not None:
-            artifact = {"source": source, "icount": head.count + 1,
+            artifact = {"source": source, "icount": head.icount,
                         "cost": head.cost,
                         "sites": [list(site) for site in sites],
-                        "tables": manifest}
-            self.store.put(self._store_base(), pc, repr(key), artifact)
+                        "term": term, "tables": manifest}
+            self.store.add(base, pc, repr(key), artifact)
         return entry
 
     def _assemble(self, head: int, ns: dict, manifest):
         """Walk the chain of blocks starting at *head*.
 
-        Returns ``(nodes, tail)`` or None to decline.  ``tail`` is
-        ``("backedge",)`` when the walk closed a loop back to *head*,
-        ``("exit", addr)`` when it stopped at an unchainable block, the
-        block cap, or an inner join, and ``("end",)`` when the last
-        node's arms all resolve internally.  A single block is declined
-        unless it ends in a trap: plain fusion (with its self-loop body)
-        already handles the others, and a lone trap block compiles as a
-        one-node trace.
+        Returns ``(nodes, tail)``.  ``tail`` is ``("backedge",)`` when
+        the walk closed a loop back to *head*, ``("exit", addr)`` when it
+        stopped at the block cap, an inner join, another task's trap
+        site, or a later block that ends before its first member, and
+        ``("end",)`` when the last node resolves every arm internally
+        (a call or stop node, or a trap with no in-trace successor).
         """
         nodes: List[_Node] = []
         starts: Dict[int, int] = {}
@@ -537,7 +589,8 @@ class TraceCompiler:
             if len(nodes) >= self.max_blocks:
                 tail = ("exit", cur)
                 break
-            node = self._build_node(cur, ns, manifest, uid)
+            node = self._build_node(cur, ns, manifest, uid,
+                                    head=not nodes)
             if node is None:
                 tail = ("exit", cur)
                 break
@@ -553,29 +606,32 @@ class TraceCompiler:
                 tail = ("end",)
                 break
             cur = node.cont
-        if len(nodes) < 2 and not (nodes and nodes[0].kind == "trap"):
-            return None
         return nodes, tail
 
-    def _build_node(self, start: int, ns: dict, manifest, uid):
-        """Fuse members from *start* and classify the terminator, or
-        None when the block cannot be chained (terminator with dynamic
-        or out-of-model control flow, trap without a fast path,
-        decode error, member cap, trap-region boundary)."""
+    def _build_node(self, start: int, ns: dict, manifest, uid,
+                    head: bool):
+        """Fuse members from *start* and classify the terminator.
+
+        A block that stops at the member cap, before a trap-region word
+        or before an undecodable word is a "stop" node that exits at
+        that address.  A later block that would stop before its first
+        member returns None (the trace exits ahead of it); an
+        undecodable head word raises, as stepwise execution would.
+        """
         cpu = self.cpu
         members: List[_Member] = []
         cur = start
-        ins = None
-        while len(members) < cpu._max_block:
-            if cpu.in_trap_region(cur):
-                return None
+        while len(members) < cpu._max_block and \
+                not cpu.in_trap_region(cur):
             try:
                 ins = cpu._decode_instruction(cur)
             except (InvalidInstruction, MemoryFault):
-                return None
+                if head and not members:
+                    raise
+                break
             parts = cpu._member_parts(ins, ns, uid[0])
             if parts is None:
-                break
+                return self._classify(ins, start, members)
             effect, flags, cycles, touches, preds = parts
             reads, writes = sreg_effects(ins.mnemonic, ins.operands)
             self._note_tables(ins, uid[0], manifest)
@@ -583,9 +639,13 @@ class TraceCompiler:
             members.append(_Member(effect, flags, cycles, touches,
                                    preds, reads, writes))
             cur = ins.next_address
-        else:
-            return None  # member cap reached without a terminator
-        return self._classify(ins, start, members)
+        if not members and not head:
+            return None
+        node = _Node(start, members)
+        node.kind = "stop"
+        node.target = cur
+        node.icount = node.count
+        return node
 
     @staticmethod
     def _note_tables(ins, uid: int, manifest) -> None:
@@ -603,15 +663,16 @@ class TraceCompiler:
     def _classify(self, ins, start: int, members):
         cpu = self.cpu
         m = ins.mnemonic
-        node = _Node(start, members)
         if m in ("JMP", "CALL") and cpu.in_trap_region(ins.operands[0]):
-            if self.specializer is None:
-                return None
-            facts = self.specializer.trace_facts(
-                cpu, ins.address, ins.operands[0], m == "CALL")
-            if facts is None:
-                return None
-            return _classify_trap(node, facts)
+            facts = None
+            if self.specializer is not None:
+                facts = self.specializer.trace_facts(
+                    cpu, ins.address, ins.operands[0], m == "CALL")
+            node = None if facts is None \
+                else _classify_trap(_Node(start, members), facts)
+            if node is not None:
+                return node
+        node = _Node(start, members)
         if m in ("BRBS", "BRBC"):
             s, k = ins.operands
             node.kind = "brcond"
@@ -621,24 +682,20 @@ class TraceCompiler:
             node.fall = ins.next_address
             node.cont = node.fall
             return node
-        if m == "RJMP":
-            target = ins.next_address + ins.operands[0]
-            if cpu.in_trap_region(target):
-                return None
+        target = ins.next_address + ins.operands[0] if m == "RJMP" \
+            else ins.operands[0] if m == "JMP" else None
+        if target is not None and not cpu.in_trap_region(target):
             node.kind = "jmp"
             node.target = target
-            node.jcycles = 2
+            node.jcycles = 2 if m == "RJMP" else 3
             node.cont = target
             return node
-        if m == "JMP":
-            node.kind = "jmp"
-            node.target = ins.operands[0]
-            node.jcycles = 3
-            node.cont = node.target
-            return node
-        # RET/RETI, indirect transfers, skips, I/O, SLEEP, BREAK,
-        # undecodable: the trace ends before this block.
-        return None
+        # RET/RETI, calls, indirect transfers, skips, I/O, SP, SEI/CLI,
+        # SLEEP/BREAK, and traps without a fast path: the trace ends
+        # with this block, whose terminator runs through its thunk.
+        node.kind = "call"
+        node.term = ins.address
+        return node
 
 
 def _classify_trap(node: _Node, facts, strip: bool = True):
@@ -855,10 +912,10 @@ class _Emitter:
         """Exit sequence: materialize deferred flags, write the shadowed
         state back, settle the trap counters, set the resume pc, then
         (order matters) run the branch-counter/scheduler logic and the
-        *then* statements — a slow arm's generic dispatch or an I/O
-        access, followed by the trap's instruction count.  All may
-        preempt and must observe exactly the state stepwise execution
-        would have left."""
+        *then* statements — a slow arm's generic dispatch, an I/O
+        access or a call node's thunk, followed by that instruction's
+        count.  All may preempt and must observe exactly the state
+        stepwise execution would have left."""
         lines = list(mats)
         if self.uses_sr:
             lines.append("cpu.sreg = sr")
@@ -887,8 +944,8 @@ class _Emitter:
         return lines
 
     def _then(self, then) -> List[str]:
-        """*then*, then the trap's instruction count (a stepwise thunk's
-        caller counts it)."""
+        """*then*, then the terminator's instruction count (a stepwise
+        thunk's caller counts it)."""
         return list(then) + ([] if self.step else ["cpu.instret += 1"])
 
     def _count(self, members: int) -> List[str]:
@@ -903,7 +960,7 @@ class _Emitter:
         (with all state flushed) when the next block may not start."""
         mats = pending[0] if pending else ()
         self.limits = True
-        lines = [f"if cy >= da or n + {target.count + 1} > mi "
+        lines = [f"if cy >= da or n + {target.icount} > mi "
                  f"or cy + {target.cost} >= mc:"]
         lines += _ind(self._flush(target.start, "plain", mats=mats))
         if pending and pending[1] & ~self._safe_entry(target):
@@ -921,6 +978,13 @@ class _Emitter:
             return self._brcond_body(node)
         if node.kind == "jmp":
             return self._jmp_body(node)
+        if node.kind == "call":
+            # The thunk runs with pc on its own instruction, as stepwise.
+            return self._prologue(node) + self._flush(
+                node.term, "plain", then=["term()"]), None
+        if node.kind == "stop":
+            return self._prologue(node) + self._flush(node.target,
+                                                      "plain"), None
         name = node.facts.kind.name
         if name == "BRANCH_BACKWARD":
             if node.strip:
@@ -936,16 +1000,20 @@ class _Emitter:
             return self._stack_pop_body(node), None
         return self._call_direct_body(node), None
 
+    @staticmethod
+    def _taken_test(node: _Node) -> str:
+        """The branch-taken condition: the deferred last member's result
+        predicate, or the flag bit in ``sr``."""
+        if node.deferred:
+            cond = node.members[-1].preds[1 << node.bit]
+        else:
+            cond = f"sr & {1 << node.bit}"
+        return cond if node.branch_if_set else f"not ({cond})"
+
     def _brcond_body(self, node: _Node):
         lines = self._member_lines(node)
         pending = self._pending(node)
-        if node.deferred:
-            pred = node.members[-1].preds[1 << node.bit]
-            test = pred if node.branch_if_set else f"not ({pred})"
-        else:
-            mask = 1 << node.bit
-            test = f"sr & {mask}" if node.branch_if_set \
-                else f"not (sr & {mask})"
+        test = self._taken_test(node)
         mats = pending[0] if pending else ()
         lines.append(f"n += {node.count + 1}")
         taken = [f"cy += {node.cost + 2}"]
@@ -964,9 +1032,9 @@ class _Emitter:
                   f"n += {node.count + 1}"]
         return lines, None
 
-    def _trap_prologue(self, node: _Node) -> List[str]:
-        """Members plus their accounting, matching the fused-block order
-        exactly: member cycles land before the trap code runs."""
+    def _prologue(self, node: _Node) -> List[str]:
+        """Members plus their accounting, in stepwise order: member
+        cycles land before the terminator (or trap code) runs."""
         lines = self._member_lines(node)
         if node.cost:
             lines.append(f"cy += {node.cost}")
@@ -1030,7 +1098,7 @@ class _Emitter:
         arm_stack = [f"{counter} += 1", eff_stack,
                      f"cy += {charge_stack}", f"kc += {charge_stack}"] \
             + post + self._count(0)
-        lines = self._trap_prologue(node)
+        lines = self._prologue(node)
         lines += addr
         if facts.elide == "heap":
             # Certificate-validated: ta never leaves the logical heap,
@@ -1061,7 +1129,7 @@ class _Emitter:
         config = facts.config
         rs = config.ram_start
         store = mnemonic == "STS"
-        lines = self._trap_prologue(node)
+        lines = self._prologue(node)
         if logical < rs:
             # I/O class: the hooks read the clock and SREG and may
             # schedule events or raise IRQs, so the access (and its
@@ -1102,7 +1170,7 @@ class _Emitter:
                 f"mem[tsp] = r[{reg}]",
                 "cpu.sp = tsp - 1",
                 f"cy += {charge}", f"kc += {charge}"] + self._count(0)
-        lines = self._trap_prologue(node)
+        lines = self._prologue(node)
         lines += ["tsp = cpu.sp", f"if tsp >= {floor}:"]
         lines += _ind(fast)
         lines.append("else:")
@@ -1120,7 +1188,7 @@ class _Emitter:
                 "cpu.sp = tsp",
                 f"r[{reg}] = mem[tsp]",
                 f"cy += {charge}", f"kc += {charge}"] + self._count(0)
-        lines = self._trap_prologue(node)
+        lines = self._prologue(node)
         lines.append("tsp = cpu.sp + 1")
         if facts.elide == "pop":
             # Certificate-validated: depth >= 1, the POP cannot
@@ -1150,7 +1218,7 @@ class _Emitter:
                 f"mem[tsp - 1] = {(resume >> 8) & 0xFF}",
                 "cpu.sp = tsp - 2",
                 f"cy += {charge}", f"kc += {charge}"] + self._count(0)
-        lines = self._trap_prologue(node)
+        lines = self._prologue(node)
         lines += ["tsp = cpu.sp", f"if tsp - 1 >= {floor}:"]
         lines += _ind(fast)
         lines.append("else:")
@@ -1177,13 +1245,7 @@ class _Emitter:
                 lines += self._flush(node.nat_target, "check")
             return lines, None
         pending = self._pending(node)
-        if node.deferred:
-            pred = node.members[-1].preds[1 << node.bit]
-            test = pred if node.branch_if_set else f"not ({pred})"
-        else:
-            mask = 1 << node.bit
-            test = f"sr & {mask}" if node.branch_if_set \
-                else f"not (sr & {mask})"
+        test = self._taken_test(node)
         mats = pending[0] if pending else ()
         taken = [f"cy += {node.cost + 2 + inline}",
                  f"kc += {2 + inline}"]

@@ -180,6 +180,10 @@ def run_suite(quick: bool = False, only: Optional[List[str]] = None,
         context = multiprocessing.get_context("fork")
         with context.Pool(processes=min(jobs, len(flat))) as pool:
             outputs = pool.map(_run_unit, flat, chunksize=1)
+            # Let the workers exit normally, so their exit hooks (the
+            # trace store's flush) run before the pool is torn down.
+            pool.close()
+            pool.join()
     else:
         outputs = [_run_unit(spec) for spec in flat]
     suite = SuiteResult()

@@ -62,7 +62,8 @@ class KernelConfig:
     #: used by the Figure 5 "memory protection only" configuration).
     enable_scheduling: bool = True
 
-    #: Superblock-fuse the CPU interpreter (see repro.avr.cpu).  Off
+    #: Superblock-fuse the CPU interpreter (see repro.avr.cpu); fused
+    #: blocks compile through the trace compiler (repro.avr.trace).  Off
     #: forces per-instruction dispatch; results are bit-identical.
     fuse: bool = True
 
@@ -76,9 +77,8 @@ class KernelConfig:
 
     #: Chain blocks across direct branches and trap fast paths into
     #: multi-block traces (see repro.avr.trace); requires ``fuse``.
-    #: Off stops chaining: with ``specialize`` trap blocks still compile
-    #: as one-node traces, other blocks as plain superblocks; results
-    #: are bit-identical.
+    #: Off stops chaining: every fused block compiles through the same
+    #: emitter as a one-node trace; results are bit-identical.
     trace: bool = True
 
     #: Drop per-access bound guards at trap sites the dataflow engine

@@ -109,17 +109,16 @@ class SenSmartKernel:
         self.cpu.set_trap_region(image.trap_region[0], image.trap_region[1],
                                  self.handlers.dispatch,
                                  thunk_factory=thunk_factory)
-        # Trap blocks compile through the trace compiler: chained into
+        # Fused blocks compile through the trace compiler: chained into
         # multi-block traces under ``trace``, one-node traces otherwise.
         self.tracer = None
-        if self.config.fuse and \
-                (self.config.trace or self.config.specialize):
+        if self.config.fuse:
             import os
 
             from ..avr.trace import TraceCompiler, TraceStore
             store_path = self.config.trace_store or \
                 os.environ.get("SENSMART_TRACE_STORE")
-            store = TraceStore(store_path) if store_path else None
+            store = TraceStore.shared(store_path) if store_path else None
             kwargs = {} if self.config.trace else {"max_blocks": 1}
             self.tracer = TraceCompiler(self.cpu, self.specializer,
                                         store=store, **kwargs)

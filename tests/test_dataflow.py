@@ -287,7 +287,7 @@ def test_lint_validates_certificates_and_flags_tampering():
     # Tamper the memoized certificate store the way a corrupted build
     # artifact would present: the independent checker must notice and
     # the report must abort the link.
-    cert = next(iter(image_certificates(image)["trap_mix"].values()))
+    cert = next(iter(image_certificates(image)[0].values()))
     cert.geometry = (0x100, 0x200, 0x1100)
     tampered = lint_image(image)
     assert not tampered.ok
@@ -299,6 +299,27 @@ def test_lint_validates_certificates_and_flags_tampering():
     table = validated_elisions(image, node.kernel.config)
     assert cert.nat_site not in table
     assert len(table) == 5
+
+
+def test_same_program_linked_twice_keeps_per_task_certificates():
+    """Two tasks with one name: certificates follow task position, so
+    the link-time lint passes and each copy elides its own sites."""
+    sources = [("trap_mix", TRAP_MIX), ("trap_mix", TRAP_MIX)]
+    image = link_image(sources)
+    report = lint_image(image)
+    assert report.ok, report.findings
+    assert report.certificates_verified == 12
+    node = SensorNode.from_sources(sources, elide=True)
+    first, second = (task.natural for task in node.kernel.image.tasks)
+    elisions = node.kernel.elisions
+    assert len(elisions) == 12
+    assert {first.base <= site < second.base for site in elisions} == \
+        {True, False}
+    node.run(max_instructions=50_000_000)
+    assert node.finished
+    reference = SensorNode.from_sources(sources, elide=False)
+    reference.run(max_instructions=50_000_000)
+    assert state_digest(node) == state_digest(reference)
 
 
 # -- elision wiring: generated code and bit-identity --------------------------
@@ -343,7 +364,7 @@ def test_default_config_keeps_guards():
                      max_instructions=100)  # task must stay alive
     kernel = node.kernel
     assert kernel.elisions == {}
-    certs = image_certificates(kernel.image)["trap_mix"]
+    certs = image_certificates(kernel.image)[0]
     site = next(s for s, c in certs.items() if c.claim == "heap")
     natural = kernel.image.tasks[0].natural
     offset = site - natural.base

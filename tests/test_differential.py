@@ -11,7 +11,10 @@ Two generators drive this:
 
 Every generated program additionally runs in both execution modes —
 superblock-fused and per-instruction — and the two must agree on all
-architectural state, cycle for cycle.
+architectural state, cycle for cycle.  A third generator adds block
+terminators (branches, calls, stack, pointer and I/O traffic, skips,
+SEI/CLI, runs longer than the block cap) and compares the two modes at
+exact ``max_instructions`` stops as well as at the end.
 """
 
 from __future__ import annotations
@@ -68,6 +71,104 @@ def alu_program(draw):
     return "\n".join(lines) + "\n"
 
 
+def _alu_line(draw) -> str:
+    template = draw(st.sampled_from(_ALU_TEMPLATES))
+    return "    " + template.format(a=draw(_regs), b=draw(_regs))
+
+
+def _alu_run(draw, low: int = 1, high: int = 4):
+    return [_alu_line(draw) for _ in range(draw(st.integers(low, high)))]
+
+
+_POINTERS = (("X", 26), ("Y", 28), ("Z", 30))
+
+
+@st.composite
+def control_program(draw):
+    """ALU runs joined by block terminators: forward and backward jumps
+    and branches, RCALL/RET, PUSH/POP, LD/ST/LDD/STD through X/Y/Z,
+    OUT/IN on a scratch port, SEI/CLI, CPSE/SBRC skips, and straight
+    runs longer than the default block cap.  Loops count down r24 from
+    small constants, so every program halts."""
+    lines = [".bss cells, 64", "main:"]
+    for reg in range(16, 24):
+        lines.append(f"    ldi r{reg}, {draw(st.integers(0, 255))}")
+    subs = draw(st.integers(0, 2))
+    for index in range(draw(st.integers(1, 8))):
+        shape = draw(st.sampled_from(
+            ["alu", "long", "fwd", "loop", "rjmp_loop", "call", "stack",
+             "mem", "io", "irq", "skip"]))
+        label = f"L{index}"
+        if shape == "alu":
+            lines += _alu_run(draw)
+        elif shape == "long":
+            lines += _alu_run(draw, 49, 60)
+        elif shape == "fwd":
+            lines.append(f"    rjmp {label}")
+            lines += _alu_run(draw)
+            lines.append(f"{label}:")
+        elif shape == "loop":
+            lines.append(f"    ldi r24, {draw(st.integers(1, 12))}")
+            lines.append(f"{label}:")
+            lines += _alu_run(draw)
+            lines += ["    dec r24", f"    brne {label}"]
+        elif shape == "rjmp_loop":
+            lines.append(f"    ldi r24, {draw(st.integers(1, 12))}")
+            lines.append(f"{label}:")
+            lines += _alu_run(draw)
+            lines += ["    dec r24", f"    breq {label}e",
+                      f"    rjmp {label}", f"{label}e:"]
+        elif shape == "call" and subs:
+            lines.append(f"    rcall sub{draw(st.integers(0, subs - 1))}")
+        elif shape == "stack":
+            lines.append(f"    push r{draw(_regs)}")
+            lines += _alu_run(draw, 0, 3)
+            lines.append(f"    pop r{draw(_regs)}")
+        elif shape == "mem":
+            name, base = draw(st.sampled_from(_POINTERS))
+            offset = draw(st.integers(8, 48))
+            lines += [f"    ldi r{base}, lo8(cells + {offset})",
+                      f"    ldi r{base + 1}, hi8(cells + {offset})"]
+            for _ in range(draw(st.integers(1, 4))):
+                mode = draw(st.sampled_from(["", "+", "-"]))
+                ptr = f"-{name}" if mode == "-" else name + mode
+                if draw(st.booleans()):
+                    lines.append(f"    st {ptr}, r{draw(_regs)}")
+                else:
+                    lines.append(f"    ld r{draw(_regs)}, {ptr}")
+            if name != "X":
+                q = draw(st.integers(0, 7))
+                lines += [f"    std {name}+{q}, r{draw(_regs)}",
+                          f"    ldd r{draw(_regs)}, {name}+{q}"]
+        elif shape == "io":
+            lines += [f"    out 0x18, r{draw(_regs)}",
+                      f"    in r{draw(_regs)}, 0x18"]
+        elif shape == "irq":
+            lines += ["    sei"] + _alu_run(draw, 0, 2) + ["    cli"]
+        else:  # skips, over one- and two-word instructions
+            if draw(st.booleans()):
+                lines.append(f"    cpse r{draw(_regs)}, r{draw(_regs)}")
+            else:
+                lines.append(f"    sbrc r{draw(_regs)}, "
+                             f"{draw(st.integers(0, 7))}")
+            if draw(st.booleans()):
+                lines.append(f"    sts cells + {draw(st.integers(0, 7))}, "
+                             f"r{draw(_regs)}")
+            else:
+                lines.append(_alu_line(draw))
+    lines.append("    break")
+    for index in range(subs):
+        lines.append(f"sub{index}:")
+        lines += _alu_run(draw, 0, 3)
+        lines.append("    ret")
+    return "\n".join(lines) + "\n"
+
+
+def _cpu_state(cpu: AvrCpu):
+    return (bytes(cpu.r), cpu.sreg, cpu.pc, cpu.sp, cpu.cycles,
+            cpu.instret, bytes(cpu.mem.data), cpu.halted)
+
+
 @given(alu_program())
 @settings(max_examples=60, deadline=None)
 def test_sensmart_is_architecturally_invisible(source):
@@ -93,25 +194,37 @@ def test_sensmart_is_architecturally_invisible(source):
         kernel.cpu.mem.data[region.p_l:region.p_l + 16]
 
 
-@given(alu_program())
-@settings(max_examples=40, deadline=None)
-def test_superblock_fusion_is_observationally_identical(source):
-    """Fused and per-instruction execution agree on everything."""
+def _bare_cpu(program, fuse: bool, max_block: int = 48) -> AvrCpu:
+    flash = Flash()
+    flash.load(0, program.words)
+    return AvrCpu(flash, fuse=fuse, max_block=max_block)
+
+
+@given(st.one_of(alu_program(), control_program()),
+       st.sampled_from([4, 48]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_superblock_fusion_is_observationally_identical(source, max_block,
+                                                        data):
+    """Fused and per-instruction execution agree on everything, at
+    exact ``max_instructions`` stops mid-run (each run resuming where
+    the last one stopped) and at the end."""
     program = assemble(source)
-    cpus = []
+    reference = _bare_cpu(program, fuse=False)
+    reference.run(max_instructions=100_000)
+    assert reference.halted
+    stops = sorted(data.draw(st.sets(st.integers(1, reference.instret),
+                                     min_size=1, max_size=6),
+                             label="stops"))
+    runs = []
     for fuse in (True, False):
-        flash = Flash()
-        flash.load(0, program.words)
-        cpu = AvrCpu(flash, fuse=fuse)
-        cpu.run(max_instructions=100_000)
-        assert cpu.halted
-        cpus.append(cpu)
-    fused, stepwise = cpus
-    assert bytes(fused.r) == bytes(stepwise.r)
-    assert fused.sreg == stepwise.sreg
-    assert fused.cycles == stepwise.cycles
-    assert fused.instret == stepwise.instret
-    assert fused.mem.data == stepwise.mem.data
+        cpu = _bare_cpu(program, fuse, max_block)
+        states = []
+        for stop in stops + [100_000]:
+            cpu.run(max_instructions=stop)
+            states.append(_cpu_state(cpu))
+        runs.append(states)
+    assert runs[0] == runs[1]
+    assert runs[0][-1] == _cpu_state(reference)
 
 
 @given(alu_program())

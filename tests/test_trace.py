@@ -204,6 +204,16 @@ def test_store_corruption_falls_back_to_clean_recompile(tmp_path):
     assert broken["compiled"] == cold["compiled"]
     assert broken["mem"] == cold["mem"]
 
+    # Terminator address outside flash: rejected, never bound.
+    payload = json.loads(pristine)
+    for entries in payload["traces"].values():
+        for artifact in entries.values():
+            artifact["term"] = -1
+    file.write_text(json.dumps(payload))
+    wild = _store_run(tmp_path, store)
+    assert wild["compiled"] == cold["compiled"]
+    assert wild["mem"] == cold["mem"]
+
 
 # -- SREG liveness masks --------------------------------------------------------
 
@@ -262,7 +272,8 @@ def test_store_is_bounded_with_lru_eviction(tmp_path):
     from repro.avr.trace import TraceStore
     store = TraceStore(str(tmp_path), max_files=3)
     for tag in range(5):
-        store.put(_fake_base(tag), 0x100, "key", {"source": "pass\n"})
+        store.add(_fake_base(tag), 0x100, "key", {"source": "pass\n"})
+        store.flush()
         time.sleep(0.01)  # distinct mtimes order the eviction
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 3
@@ -273,19 +284,38 @@ def test_store_is_bounded_with_lru_eviction(tmp_path):
     assert store.load(_fake_base(0)) == {}
 
 
+def test_store_writes_each_dirty_file_once_per_flush(tmp_path):
+    from repro.avr.trace import TraceStore
+    store = TraceStore(str(tmp_path))
+    for pc in range(50):
+        store.add(_fake_base(0), pc, "key", {"source": "pass\n"})
+    store.add(_fake_base(1), 0x100, "key", {"source": "pass\n"})
+    assert not list(tmp_path.glob("*.json"))  # adds only mark dirty
+    store.flush()
+    assert store.stats.writes == 2
+    store.flush()
+    assert store.stats.writes == 2  # nothing left dirty
+    assert len(TraceStore(str(tmp_path)).load(_fake_base(0))) == 50
+    assert TraceStore.shared(str(tmp_path)) is \
+        TraceStore.shared(str(tmp_path))
+
+
 def test_store_load_refreshes_mtime_lru(tmp_path):
     from repro.avr.trace import TraceStore
     store = TraceStore(str(tmp_path), max_files=2)
-    store.put(_fake_base(0), 0x100, "key", {"source": "pass\n"})
+    store.add(_fake_base(0), 0x100, "key", {"source": "pass\n"})
+    store.flush()
     time.sleep(0.01)
-    store.put(_fake_base(1), 0x100, "key", {"source": "pass\n"})
+    store.add(_fake_base(1), 0x100, "key", {"source": "pass\n"})
+    store.flush()
     time.sleep(0.01)
     # touch image 0 from a fresh store (no warm cache), then add a
     # third image: image 1 is now the oldest and must be the victim
     reader = TraceStore(str(tmp_path), max_files=2)
     assert reader.load(_fake_base(0))
     time.sleep(0.01)
-    reader.put(_fake_base(2), 0x100, "key", {"source": "pass\n"})
+    reader.add(_fake_base(2), 0x100, "key", {"source": "pass\n"})
+    reader.flush()
     assert reader.load(_fake_base(0))
     assert reader.load(_fake_base(2))
     fresh = TraceStore(str(tmp_path), max_files=2)
@@ -295,7 +325,8 @@ def test_store_load_refreshes_mtime_lru(tmp_path):
 def test_store_counts_corrupt_files(tmp_path):
     from repro.avr.trace import TraceStore
     store = TraceStore(str(tmp_path), max_files=8)
-    store.put(_fake_base(0), 0x100, "key", {"source": "pass\n"})
+    store.add(_fake_base(0), 0x100, "key", {"source": "pass\n"})
+    store.flush()
     (file,) = tmp_path.glob("*.json")
     file.write_text("{ not json")
     fresh = TraceStore(str(tmp_path), max_files=8)

@@ -85,13 +85,15 @@ def test_relocation_invalidates_specialized_code_and_stays_identical():
 def test_every_tier_agrees_across_forced_relocation(workload, stop):
     """Stop mid-run, grow the running task's stack (a region move every
     compiled unit of that task must deopt on), finish: the stepwise,
-    thunked, fused, one-node and traced tiers, with ``elide`` on and
-    off where it applies, end in the same state."""
+    thunked, fused, one-node and traced tiers, each with ``elide`` on
+    and off, end in the same state."""
     sources = _workload_sources(workload, quick=True)
-    tiers = [dict(fuse=False, specialize=False, trace=False),
-             dict(specialize=False, trace=False)]
+    tiers = []
     for elide in (False, True):
-        tiers += [dict(fuse=False, trace=False, elide=elide),
+        tiers += [dict(fuse=False, specialize=False, trace=False,
+                       elide=elide),
+                  dict(specialize=False, trace=False, elide=elide),
+                  dict(fuse=False, trace=False, elide=elide),
                   dict(trace=False, elide=elide), dict(elide=elide)]
     digests = []
     for tier in tiers:
